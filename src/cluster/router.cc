@@ -461,7 +461,11 @@ Router::redispatchLoop()
             });
         const auto now = std::chrono::steady_clock::now();
         if (next->due > now) {
-            delayedCv_.wait_until(lock, next->due);
+            // Wait on a copy: while the lock is released a concurrent
+            // scheduleRedispatch may push_back and reallocate delayed_,
+            // leaving `next` dangling.
+            const auto due = next->due;
+            delayedCv_.wait_until(lock, due);
             continue; // re-scan: the queue may have changed
         }
         PendingCall call = std::move(next->call);

@@ -14,15 +14,12 @@ namespace ta {
 
 namespace {
 
-/** Representative-tensor dimensions: the full shape capped at
- *  (repr_rows x repr_cols) — the one rule runShape and the batched
- *  path must agree on, or rescaleToShape would rescale a tensor of a
- *  different size than was synthesized. */
-std::pair<size_t, size_t>
-reprDims(const GemmShape &shape, size_t repr_rows, size_t repr_cols)
+/** Record a synthesized layer's weight-memo outcome (host-volatile). */
+void
+setMemoOutcome(LayerRun &run, bool hit)
 {
-    return {std::min<size_t>(shape.n, repr_rows),
-            std::min<size_t>(shape.k, repr_cols)};
+    run.exec.set("weightMemo.hits", hit ? 1 : 0);
+    run.exec.set("weightMemo.misses", hit ? 0 : 1);
 }
 
 } // namespace
@@ -43,11 +40,11 @@ LayerRun::operator+=(const LayerRun &o)
 
 /**
  * One face over the two weight representations the layer machinery
- * consumes: a freshly synthesized SlicedMatrix (byte-per-bit) or a
- * storage-tier WeightView (bit-packed, zero copy out of a pinned
- * segment mapping). Both expose identical geometry and produce
+ * consumes: a caller's SlicedMatrix (byte-per-bit, runLayer) or a
+ * bit-packed WeightView (zero copy out of a pinned segment mapping or
+ * a weight-memo plane). Both expose identical geometry and produce
  * identical TransRows, which is the whole byte-identity story of
- * catalog serving.
+ * catalog serving and of the memo.
  */
 struct TransArrayAccelerator::WeightRef
 {
@@ -370,16 +367,29 @@ TransArrayAccelerator::rescaleToShape(LayerRun run,
     return run;
 }
 
+WeightMemo::Plane
+TransArrayAccelerator::reprPlane(const GemmShape &shape, int weight_bits,
+                                 uint64_t seed, size_t repr_rows,
+                                 size_t repr_cols, bool *hit) const
+{
+    const auto [nr, kr] = reprDims(shape, repr_rows, repr_cols);
+    return weightMemo_.getOrBuild(
+        {nr, kr, weight_bits, seed},
+        [&] { return synthesizePackedPlane(nr, kr, weight_bits, seed); },
+        hit);
+}
+
 LayerRun
 TransArrayAccelerator::runShape(const GemmShape &shape, int weight_bits,
                                 uint64_t seed, size_t repr_rows,
                                 size_t repr_cols) const
 {
-    const auto [nr, kr] = reprDims(shape, repr_rows, repr_cols);
-    const SlicedMatrix w = realLikeSlicedWeights(nr, kr, weight_bits,
-                                                 seed);
-    return rescaleToShape(runLayer(w, shape.m), shape, weight_bits, nr,
-                          kr);
+    bool hit = false;
+    const WeightMemo::Plane plane =
+        reprPlane(shape, weight_bits, seed, repr_rows, repr_cols, &hit);
+    LayerRun run = runShapeView(shape, weight_bits, plane->view());
+    setMemoOutcome(run, hit);
+    return run;
 }
 
 LayerRun
@@ -450,13 +460,14 @@ TransArrayAccelerator::runLayersBatched(
     const int shards = pool_.threads();
 
     // Per-layer state, indexed by batch-local layer id. Tasks touch
-    // only their own (layer, shard) slots. `owned` backs the
-    // synthesized layers; view-bearing layers reference their pinned
-    // segment pages instead and synthesize nothing.
-    std::vector<SlicedMatrix> owned(n);
+    // only their own (layer, shard) slots. `planes` holds the memo
+    // planes of synthesized layers for the whole call (an eviction
+    // cannot free them); view-bearing layers reference their pinned
+    // segment pages instead. Either way the engine reads a WeightView.
+    std::vector<WeightMemo::Plane> planes(n);
+    std::vector<char> memo_hit(n, 0); // not vector<bool>: set in parallel
     std::vector<WeightRef> weights(n);
     std::vector<LayerGeom> geoms(n);
-    std::vector<std::pair<size_t, size_t>> repr(n);
     std::vector<std::unique_ptr<StaticScoreboard>> static_sbs(n);
     std::vector<std::vector<StageCosts>> items(n);
     std::vector<std::vector<ShardAcc>> accs(n);
@@ -464,20 +475,19 @@ TransArrayAccelerator::runLayersBatched(
     BatchScheduler sched(pool_);
     sched.run(
         n,
-        // Phase 1: weight synthesis + geometry + static calibration,
-        // parallel across the window's layers (the serial bottleneck of
-        // per-layer dispatch).
+        // Phase 1: weight-memo lookup (synthesis on a miss) + geometry
+        // + static calibration, parallel across the window's layers
+        // (the serial bottleneck of per-layer dispatch).
         [&](size_t l) -> size_t {
             const BatchLayerRequest &r = layers[l];
             if (r.view != nullptr) {
-                repr[l] = {r.view->origRows, r.view->cols};
                 weights[l] = WeightRef(*r.view);
             } else {
-                repr[l] = reprDims(r.shape, r.reprRows, r.reprCols);
-                owned[l] = realLikeSlicedWeights(
-                    repr[l].first, repr[l].second, r.weightBits,
-                    r.seed);
-                weights[l] = WeightRef(owned[l]);
+                bool hit = false;
+                planes[l] = reprPlane(r.shape, r.weightBits, r.seed,
+                                      r.reprRows, r.reprCols, &hit);
+                memo_hit[l] = hit;
+                weights[l] = WeightRef(planes[l]->view());
             }
             geoms[l] = layerGeometry(weights[l], r.shape.m);
             if (geoms[l].degenerate())
@@ -506,7 +516,9 @@ TransArrayAccelerator::runLayersBatched(
             run = finalizeLayer(weights[l], r.shape.m, geoms[l], accs[l],
                                 items[l], nullptr);
         out[l] = rescaleToShape(std::move(run), r.shape, r.weightBits,
-                                repr[l].first, repr[l].second);
+                                weights[l].origRows(), weights[l].cols());
+        if (planes[l] != nullptr)
+            setMemoOutcome(out[l], memo_hit[l] != 0);
     }
     return out;
 }

@@ -11,7 +11,9 @@
 #ifndef TA_CORE_ACCELERATOR_H
 #define TA_CORE_ACCELERATOR_H
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "common/stats.h"
 #include "core/pipeline.h"
@@ -19,6 +21,7 @@
 #include "exec/parallel_executor.h"
 #include "exec/plan_cache.h"
 #include "exec/scratch_arena.h"
+#include "exec/weight_memo.h"
 #include "sim/dram.h"
 #include "sim/energy_model.h"
 #include "workloads/gemm_workload.h"
@@ -39,9 +42,11 @@ struct LayerRun
     uint64_t subTiles = 0;
     /**
      * Host-execution counters (exec.threads, per-shard sub-tile counts,
-     * planCache.hits/misses/evictions delta). Cache hit/miss splits may
-     * vary with the thread count (concurrent misses double-build);
-     * every simulation result above is thread-count-invariant.
+     * planCache.hits/misses/evictions delta, and weightMemo.hits/misses
+     * for synthesized layers). Cache hit/miss splits may vary with the
+     * thread count (concurrent misses double-build) and memo outcomes
+     * with the accelerator's history; every simulation result above is
+     * invariant to both.
      */
     StatGroup exec;
 
@@ -58,6 +63,20 @@ constexpr size_t kDefaultReprRows = 256;
 constexpr size_t kDefaultReprCols = 4096;
 
 /**
+ * Representative-tensor dimensions: the full shape capped at
+ * (repr_rows x repr_cols) — the one rule runShape, the batched path,
+ * `ta_pack` and catalog lookup must agree on, or a layer would run (or
+ * be rescaled from) a tensor of a different size than was synthesized.
+ */
+inline std::pair<size_t, size_t>
+reprDims(const GemmShape &shape, size_t repr_rows = kDefaultReprRows,
+         size_t repr_cols = kDefaultReprCols)
+{
+    return {std::min<size_t>(shape.n, repr_rows),
+            std::min<size_t>(shape.k, repr_cols)};
+}
+
+/**
  * One layer of a batch window handed to
  * TransArrayAccelerator::runLayersBatched — the batched counterpart of
  * a runShape(shape, weightBits, seed, reprRows, reprCols) call.
@@ -71,12 +90,13 @@ struct BatchLayerRequest
     size_t reprCols = kDefaultReprCols;
     /**
      * Optional pre-packed weight plane (the storage tier's pinned
-     * WeightView). When set, phase 1 skips synthesis and the engine
-     * reads the plane zero-copy; the view's (origRows, cols) stand in
-     * for the repr dims. Non-owning — the pin must outlive the batch
-     * call. Byte-identity with the synthesis path holds exactly when
-     * the view was packed from realLikeSlicedWeights(reprDims(shape),
-     * weightBits, seed) — which is what a validated catalog stores.
+     * WeightView). When set, phase 1 skips the weight memo and the
+     * engine reads the plane zero-copy; the view's (origRows, cols)
+     * stand in for the repr dims. Non-owning — the pin must outlive
+     * the batch call. Byte-identity with the synthesis path holds
+     * exactly when the view holds synthesizePackedPlane(reprDims(
+     * shape), weightBits, seed) — which is what a validated catalog
+     * stores.
      */
     const WeightView *view = nullptr;
 };
@@ -153,6 +173,12 @@ class TransArrayAccelerator
      * homogeneous), while DRAM traffic and static energy are recomputed
      * for the true dimensions. This is how the Fig. 10/12/14 harnesses
      * run multi-billion-MAC layers on a laptop.
+     *
+     * The tensor comes from the accelerator's weight memo (synthesized
+     * and packed on a miss) and runs through runShapeView, so repeated
+     * (repr dims, weight_bits, seed) keys synthesize once. Results are
+     * byte-identical to rescaling runLayer(realLikeSlicedWeights(...))
+     * whether the memo hits, misses or has evicted the plane.
      */
     LayerRun runShape(const GemmShape &shape, int weight_bits,
                       uint64_t seed,
@@ -161,22 +187,23 @@ class TransArrayAccelerator
 
     /**
      * runShape with the representative tensor supplied as a packed
-     * WeightView instead of synthesized: the view's (origRows, cols)
+     * WeightView instead of looked up: the view's (origRows, cols)
      * are the repr dims for the full-shape rescale. Byte-identical to
      * runShape(shape, weight_bits, seed) exactly when the view holds
-     * packSlicedBits(realLikeSlicedWeights(reprDims(shape, ...),
-     * weight_bits, seed)) — the catalog-serving contract.
+     * synthesizePackedPlane(reprDims(shape, ...), weight_bits, seed)
+     * — the catalog-serving contract.
      */
     LayerRun runShapeView(const GemmShape &shape, int weight_bits,
                           const WeightView &v) const;
 
     /**
      * Batch-level sharded execution: run a whole window of layers with
-     * multiple layers in flight on the one executor. Weight synthesis
-     * and static-scoreboard calibration are parallelized across layers
-     * (phase 1), then every (layer, shard) sub-tile slot of the window
-     * drains through a single BatchScheduler pass (phase 2), and each
-     * layer is reduced in shard order (phase 3).
+     * multiple layers in flight on the one executor. Weight-memo
+     * lookups (synthesis on a miss) and static-scoreboard calibration
+     * are parallelized across layers (phase 1), then every (layer,
+     * shard) sub-tile slot of the window drains through a single
+     * BatchScheduler pass (phase 2), and each layer is reduced in
+     * shard order (phase 3).
      *
      * Determinism: out[i] is byte-identical to
      * runShape(layers[i].shape, ...) called serially, for any thread
@@ -209,6 +236,12 @@ class TransArrayAccelerator
      */
     PlanCache &planCache() { return *planCache_; }
     const PlanCache &planCache() const { return *planCache_; }
+
+    /** Lifetime weight-memo counters and resident bytes. */
+    WeightMemo::Counters weightMemoCounters() const
+    {
+        return weightMemo_.counters();
+    }
 
     /** Cumulative per-worker busy time (host utilization view). */
     const std::vector<uint64_t> &shardBusyNanos() const
@@ -255,6 +288,14 @@ class TransArrayAccelerator
                            const std::vector<StageCosts> &items,
                            const PlanCache::Counters *cache_delta) const;
 
+    /**
+     * The representative plane of a synthesized layer: a weight-memo
+     * lookup, else synthesize and pack. `*hit` reports which.
+     */
+    WeightMemo::Plane reprPlane(const GemmShape &shape, int weight_bits,
+                                uint64_t seed, size_t repr_rows,
+                                size_t repr_cols, bool *hit) const;
+
     /** runShape's full-shape rescale of a representative-tensor run. */
     LayerRun rescaleToShape(LayerRun run, const GemmShape &shape,
                             int weight_bits, size_t repr_rows,
@@ -273,6 +314,8 @@ class TransArrayAccelerator
      * pool_.run(), which serializes calls.
      */
     mutable std::vector<ExecScratch> scratch_;
+    /** Synthesized planes shared by runShape and runLayersBatched. */
+    mutable WeightMemo weightMemo_{kWeightMemoBudgetBytes};
 };
 
 } // namespace ta

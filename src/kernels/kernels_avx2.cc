@@ -105,7 +105,10 @@ packBitsAvx2(const uint8_t *bits, size_t n)
 {
     // The source is a window inside a larger row, so over-reading past
     // n is not safe; stage into a zeroed buffer (zero bytes produce
-    // zero pack bits, so no post-masking is needed).
+    // zero pack bits, so no post-masking is needed). An empty span may
+    // carry a null pointer, which memcpy must never see.
+    if (n == 0)
+        return 0;
     if (n <= 8) {
         // The hot case (T = 8): one multiply beats any staged SIMD.
         uint64_t x = 0;
@@ -118,10 +121,16 @@ packBitsAvx2(const uint8_t *bits, size_t n)
         std::memcpy(&hi, bits + 8, n - 8);
         return pack8(lo) | (pack8(hi) << 8);
     }
-    alignas(32) uint8_t tmp[32] = {};
-    std::memcpy(tmp, bits, n <= 32 ? n : 32);
-    const __m256i x =
-        _mm256_load_si256(reinterpret_cast<const __m256i *>(tmp));
+    __m256i x;
+    if (n >= 32) {
+        // A full window (packSlicedBits' 32-column packs): the 32
+        // bytes are all in bounds, so load them directly.
+        x = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(bits));
+    } else {
+        alignas(32) uint8_t tmp[32] = {};
+        std::memcpy(tmp, bits, n);
+        x = _mm256_load_si256(reinterpret_cast<const __m256i *>(tmp));
+    }
     return static_cast<uint32_t>(_mm256_movemask_epi8(
         _mm256_cmpgt_epi8(x, _mm256_setzero_si256())));
 }

@@ -1,5 +1,7 @@
 #include "quant/bitslice.h"
 
+#include <algorithm>
+
 #include "kernels/kernel_table.h"
 
 namespace ta {
@@ -12,19 +14,17 @@ SlicedMatrix::levelWeight(size_t r) const
     return level == wordBits - 1 ? -mag : mag;
 }
 
-SlicedMatrix
-bitSlice(const MatI32 &m, int word_bits)
+namespace {
+
+/** fatal()s unless every value of `m` fits `word_bits`-bit 2's
+ *  complement. */
+void
+checkSliceRange(const MatI32 &m, int word_bits)
 {
     TA_ASSERT(word_bits >= 2 && word_bits <= 16,
               "unsupported slice width ", word_bits);
     const int64_t lo = -(1ll << (word_bits - 1));
     const int64_t hi = (1ll << (word_bits - 1)) - 1;
-
-    SlicedMatrix s;
-    s.wordBits = word_bits;
-    s.origRows = m.rows();
-    s.bits = MatBit(m.rows() * word_bits, m.cols(), 0);
-    const KernelTable &kt = kernels();
     for (size_t r = 0; r < m.rows(); ++r) {
         const int32_t *row = m.rowPtr(r);
         for (size_t c = 0; c < m.cols(); ++c) {
@@ -34,15 +34,70 @@ bitSlice(const MatI32 &m, int word_bits)
                          ") exceeds ", word_bits, "-bit range");
             }
         }
-        // 2's complement bit pattern of each value, one level row per
-        // bit. Extracting bit b of the raw int32 equals extracting it
-        // from the word_bits-masked pattern for b < word_bits, so the
-        // kernel needs no separate mask step.
-        for (int b = 0; b < word_bits; ++b)
-            kt.sliceLevel(s.bits.rowPtr(r * word_bits + b), row,
-                          m.cols(), b);
     }
+}
+
+/** Pack one byte-per-bit row of `cols` {0,1} bytes into `dst`
+ *  (ceilDiv(cols, 8) bytes, LSB-first). Bit j of a 32-column pack is
+ *  column c + j, so its four bytes are bytes (c >> 3) .. (c >> 3) + 3
+ *  of the row. */
+void
+packRow(const KernelTable &kt, const uint8_t *bits, size_t cols,
+        uint8_t *dst)
+{
+    for (size_t c = 0; c < cols; c += 32) {
+        const size_t n = std::min<size_t>(32, cols - c);
+        const uint32_t word = kt.packBits(bits + c, n);
+        for (size_t b = 0; b < ceilDiv(n, 8); ++b)
+            dst[(c >> 3) + b] = static_cast<uint8_t>(word >> (8 * b));
+    }
+}
+
+} // namespace
+
+SlicedMatrix
+bitSlice(const MatI32 &m, int word_bits)
+{
+    checkSliceRange(m, word_bits);
+    SlicedMatrix s;
+    s.wordBits = word_bits;
+    s.origRows = m.rows();
+    s.bits = MatBit(m.rows() * word_bits, m.cols(), 0);
+    const KernelTable &kt = kernels();
+    // 2's complement bit pattern of each value, one level row per bit.
+    // Extracting bit b of the raw int32 equals extracting it from the
+    // word_bits-masked pattern for b < word_bits, so the kernel needs
+    // no separate mask step.
+    for (size_t r = 0; r < m.rows(); ++r)
+        for (int b = 0; b < word_bits; ++b)
+            kt.sliceLevel(s.bits.rowPtr(r * word_bits + b), m.rowPtr(r),
+                          m.cols(), b);
     return s;
+}
+
+PackedPlane
+bitSlicePacked(const MatI32 &m, int word_bits)
+{
+    checkSliceRange(m, word_bits);
+    PackedPlane p;
+    p.rows = m.rows() * word_bits;
+    p.cols = m.cols();
+    p.wordBits = word_bits;
+    p.origRows = m.rows();
+    const size_t stride = ceilDiv(p.cols, 8);
+    p.bytes.assign(p.rows * stride, 0);
+    const KernelTable &kt = kernels();
+    // bitSlice's level rows, one at a time through a reused row buffer,
+    // each packed as packSlicedBits packs it.
+    std::vector<uint8_t> level(p.cols);
+    for (size_t r = 0; r < m.rows(); ++r) {
+        for (int b = 0; b < word_bits; ++b) {
+            kt.sliceLevel(level.data(), m.rowPtr(r), p.cols, b);
+            packRow(kt, level.data(), p.cols,
+                    p.bytes.data() + (r * word_bits + b) * stride);
+        }
+    }
+    return p;
 }
 
 MatI32
@@ -96,18 +151,24 @@ extractTransRows(const WeightView &v, int t_bits, size_t chunk,
     TA_ASSERT(c0 < v.cols, "chunk out of bounds");
     const size_t c1 = std::min(v.cols, c0 + t_bits);
 
+    // Bit j of the TransRow is binary-matrix column c0 + j — the same
+    // rule packBits applies to the byte-per-bit rows, so both
+    // extraction paths produce identical values. Columns [c0, c1)
+    // live in bytes [c0 >> 3, (c1 - 1) >> 3] (at most five for
+    // T <= 32): gather them LSB-first, shift the chunk down to bit 0
+    // and mask off the next chunk's columns.
+    const size_t b0 = c0 >> 3, b1 = (c1 - 1) >> 3;
+    const unsigned shift = c0 & 7;
+    const uint64_t mask = (uint64_t{1} << (c1 - c0)) - 1;
     out.clear();
     out.reserve(row_end - row_begin);
     for (size_t r = row_begin; r < row_end; ++r) {
         const uint8_t *row = v.data + r * v.rowStride;
-        uint32_t value = 0;
-        // Bit j of the TransRow is binary-matrix column c0 + j — the
-        // same rule packBits applies to the byte-per-bit rows, so both
-        // extraction paths produce identical values.
-        for (size_t c = c0; c < c1; ++c)
-            value |= static_cast<uint32_t>((row[c >> 3] >> (c & 7)) & 1)
-                     << (c - c0);
-        out.push_back({value, static_cast<uint32_t>(r)});
+        uint64_t word = 0;
+        for (size_t b = b0; b <= b1; ++b)
+            word |= static_cast<uint64_t>(row[b]) << (8 * (b - b0));
+        out.push_back({static_cast<uint32_t>((word >> shift) & mask),
+                       static_cast<uint32_t>(r)});
     }
 }
 
@@ -116,13 +177,10 @@ packSlicedBits(const SlicedMatrix &s)
 {
     const size_t stride = ceilDiv(s.bits.cols(), 8);
     std::vector<uint8_t> out(s.bits.rows() * stride, 0);
-    for (size_t r = 0; r < s.bits.rows(); ++r) {
-        const uint8_t *row = s.bits.rowPtr(r);
-        uint8_t *dst = out.data() + r * stride;
-        for (size_t c = 0; c < s.bits.cols(); ++c)
-            dst[c >> 3] |= static_cast<uint8_t>((row[c] & 1)
-                                                << (c & 7));
-    }
+    const KernelTable &kt = kernels();
+    for (size_t r = 0; r < s.bits.rows(); ++r)
+        packRow(kt, s.bits.rowPtr(r), s.bits.cols(),
+                out.data() + r * stride);
     return out;
 }
 

@@ -107,10 +107,40 @@ void extractTransRows(const WeightView &v, int t_bits, size_t chunk,
 /**
  * Pack a byte-per-bit SlicedMatrix into the WeightView bit layout
  * (LSB-first within each byte, rows padded to whole bytes with
- * zeros). This is the one packing rule `ta_pack` writes with and the
- * round-trip tests verify against.
+ * zeros). This is the one packing rule: bitSlicePacked (behind
+ * `ta_pack` and the weight memo) writes the same bytes, and the
+ * round-trip tests verify against it. Packs 32 columns per kernel
+ * packBits call; the output is identical under every kernel table.
  */
 std::vector<uint8_t> packSlicedBits(const SlicedMatrix &s);
+
+/**
+ * An owned bit-packed plane in the WeightView layout: the in-memory
+ * counterpart of a pinned catalog entry. view() is valid while the
+ * plane lives.
+ */
+struct PackedPlane
+{
+    std::vector<uint8_t> bytes; ///< the packSlicedBits layout
+    size_t rows = 0;            ///< S*N sliced rows
+    size_t cols = 0;            ///< K columns
+    int wordBits = 0;           ///< S
+    size_t origRows = 0;        ///< N
+
+    WeightView
+    view() const
+    {
+        return {bytes.data(), ceilDiv(cols, 8), rows, cols, wordBits,
+                origRows};
+    }
+};
+
+/**
+ * bitSlice straight into the packed layout: the same bytes as
+ * packSlicedBits(bitSlice(m, word_bits)), without materializing the
+ * byte-per-bit matrix. fatal()s on out-of-range values like bitSlice.
+ */
+PackedPlane bitSlicePacked(const MatI32 &m, int word_bits);
 
 /** Number of T-wide column chunks covering K columns. */
 inline size_t

@@ -292,12 +292,9 @@ ServiceScheduler::resolveModel(const ServiceRequest &req,
     }
     // The engine's synthesis key under the runShape repr cap: a
     // catalog entry matches exactly when it holds the plane
-    // realLikeSlicedWeights(nr, kr, wbits, seed) — anything else must
+    // synthesizePackedPlane(nr, kr, wbits, seed) — anything else must
     // be an explicit error, never a silently different tensor.
-    const uint64_t nr =
-        std::min<uint64_t>(req.shape.n, kDefaultReprRows);
-    const uint64_t kr =
-        std::min<uint64_t>(req.shape.k, kDefaultReprCols);
+    const auto [nr, kr] = reprDims(req.shape);
     const CatalogEntry *entry =
         buffers_->findEntry(req.model, req.seed, req.wbits, nr, kr);
     if (entry == nullptr) {

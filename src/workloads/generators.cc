@@ -56,6 +56,12 @@ realLikeSlicedWeights(size_t rows, size_t cols, int bits, uint64_t seed)
     return bitSlice(realLikeWeights(rows, cols, bits, seed), bits);
 }
 
+PackedPlane
+synthesizePackedPlane(size_t rows, size_t cols, int bits, uint64_t seed)
+{
+    return bitSlicePacked(realLikeWeights(rows, cols, bits, seed), bits);
+}
+
 MatI32
 randomActivations(size_t rows, size_t cols, int bits, uint64_t seed)
 {

@@ -46,6 +46,15 @@ MatI32 realLikeWeights(size_t rows, size_t cols, int bits, uint64_t seed);
 SlicedMatrix realLikeSlicedWeights(size_t rows, size_t cols, int bits,
                                    uint64_t seed);
 
+/**
+ * Real-like weights bit-sliced and packed: the plane `ta_pack` writes
+ * into a catalog and the engine's weight memo holds — one packing rule
+ * for both, so a catalog entry and an in-memory plane of the same
+ * (rows, cols, bits, seed) hold identical bytes.
+ */
+PackedPlane synthesizePackedPlane(size_t rows, size_t cols, int bits,
+                                  uint64_t seed);
+
 /** Gaussian int8 activations (for functional attention runs). */
 MatI32 randomActivations(size_t rows, size_t cols, int bits,
                          uint64_t seed);

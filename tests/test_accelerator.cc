@@ -122,6 +122,117 @@ TEST(Accelerator, RunGemmConvenience)
     EXPECT_GT(run.cycles, 0u);
 }
 
+// ---- weight memo ----------------------------------------------------------
+
+/** Every simulated field of two runs is identical (exec excluded). */
+void
+expectSameSimulation(const LayerRun &a, const LayerRun &b)
+{
+    EXPECT_EQ(a.computeCycles, b.computeCycles);
+    EXPECT_EQ(a.dramCycles, b.dramCycles);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.dramBytes, b.dramBytes);
+    EXPECT_EQ(a.subTiles, b.subTiles);
+    const EnergyBreakdown &x = a.energy, &y = b.energy;
+    EXPECT_EQ(x.dramStatic, y.dramStatic);
+    EXPECT_EQ(x.dramDynamic, y.dramDynamic);
+    EXPECT_EQ(x.core, y.core);
+    EXPECT_EQ(x.weightBuf, y.weightBuf);
+    EXPECT_EQ(x.inputBuf, y.inputBuf);
+    EXPECT_EQ(x.prefixBuf, y.prefixBuf);
+    EXPECT_EQ(x.outputBuf, y.outputBuf);
+    EXPECT_EQ(x.otherBuf, y.otherBuf);
+    const SparsityStats &p = a.sparsity, &q = b.sparsity;
+    EXPECT_EQ(p.rows, q.rows);
+    EXPECT_EQ(p.denseOps, q.denseOps);
+    EXPECT_EQ(p.bitOps, q.bitOps);
+    EXPECT_EQ(p.zrRows, q.zrRows);
+    EXPECT_EQ(p.prRows, q.prRows);
+    EXPECT_EQ(p.frRows, q.frRows);
+    EXPECT_EQ(p.trNodes, q.trNodes);
+    EXPECT_EQ(p.outlierExtra, q.outlierExtra);
+    EXPECT_EQ(p.siMisses, q.siMisses);
+    EXPECT_EQ(p.distHist, q.distHist);
+}
+
+TEST(WeightMemoAccelerator, RepeatedKeyMatchesPreMemoOracle)
+{
+    // Within the repr cap the full-shape rescale is the identity, so
+    // the pre-memo runShape result is runLayer on the freshly
+    // synthesized byte-per-bit tensor.
+    for (bool use_static : {false, true}) {
+        TransArrayAccelerator::Config c = acfg();
+        c.useStaticScoreboard = use_static;
+        const TransArrayAccelerator acc(c);
+        const GemmShape shape{192, 520, 96};
+        const LayerRun oracle =
+            acc.runLayer(realLikeSlicedWeights(192, 520, 4, 31), 96);
+        for (int call = 0; call < 3; ++call) {
+            const LayerRun run = acc.runShape(shape, 4, 31);
+            expectSameSimulation(run, oracle);
+            EXPECT_EQ(run.exec.get("weightMemo.hits"),
+                      call == 0 ? 0u : 1u);
+            EXPECT_EQ(run.exec.get("weightMemo.misses"),
+                      call == 0 ? 1u : 0u);
+        }
+        const WeightMemo::Counters m = acc.weightMemoCounters();
+        EXPECT_EQ(m.hits, 2u);
+        EXPECT_EQ(m.misses, 1u);
+        EXPECT_EQ(m.planes, 1u);
+        EXPECT_EQ(m.residentBytes, 192u * 4 * ceilDiv(520, 8));
+    }
+}
+
+TEST(WeightMemoAccelerator, CappedShapeHitEqualsFreshAccelerator)
+{
+    // Above the cap: the memoized plane serves every shape that maps
+    // to the same (repr dims, wbits, seed), each rescaled by its own
+    // dimensions, exactly as a fresh accelerator's miss does.
+    const TransArrayAccelerator acc(acfg());
+    const std::vector<GemmShape> shapes{
+        {4096, 11008, 64}, {11008, 4096, 32}, {300, 5000, 16}};
+    for (int round = 0; round < 2; ++round) {
+        for (const GemmShape &shape : shapes) {
+            const TransArrayAccelerator fresh(acfg());
+            expectSameSimulation(acc.runShape(shape, 4, 5),
+                                 fresh.runShape(shape, 4, 5));
+        }
+    }
+    // All three shapes cap to the same 256 x 4096 plane.
+    EXPECT_EQ(acc.weightMemoCounters().misses, 1u);
+    EXPECT_EQ(acc.weightMemoCounters().hits, 5u);
+}
+
+TEST(WeightMemoAccelerator, EvictionKeepsBudgetAndResults)
+{
+    // 8-bit 512 x 4096 planes are 2 MiB each: nine of them overflow
+    // the budget, so the oldest are evicted and rebuilt on demand.
+    const size_t plane_bytes = 512 * 8 * (4096 / 8);
+    const size_t keys = kWeightMemoBudgetBytes / plane_bytes + 1;
+    const GemmShape shape{512, 4096, 8};
+    const TransArrayAccelerator acc(acfg());
+    std::vector<LayerRun> first;
+    for (size_t i = 0; i < keys; ++i) {
+        first.push_back(acc.runShape(shape, 8, 100 + i, 512, 4096));
+        EXPECT_LE(acc.weightMemoCounters().residentBytes,
+                  kWeightMemoBudgetBytes);
+    }
+    WeightMemo::Counters c = acc.weightMemoCounters();
+    EXPECT_EQ(c.misses, keys);
+    EXPECT_GE(c.evictions, 1u);
+    EXPECT_EQ(c.residentBytes, c.planes * plane_bytes);
+    // FIFO: key 0 was inserted first, so it is gone; the newest stays.
+    const LayerRun again0 = acc.runShape(shape, 8, 100, 512, 4096);
+    EXPECT_EQ(again0.exec.get("weightMemo.misses"), 1u);
+    expectSameSimulation(again0, first[0]);
+    const LayerRun again_last =
+        acc.runShape(shape, 8, 100 + keys - 1, 512, 4096);
+    EXPECT_EQ(again_last.exec.get("weightMemo.hits"), 1u);
+    expectSameSimulation(again_last, first.back());
+    EXPECT_LE(acc.weightMemoCounters().residentBytes,
+              kWeightMemoBudgetBytes);
+}
+
 TEST(LayerRun, Accumulation)
 {
     LayerRun a, b;

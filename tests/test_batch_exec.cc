@@ -16,6 +16,7 @@
 #include "core/accelerator.h"
 #include "exec/batch_scheduler.h"
 #include "kernels/kernel_table.h"
+#include "workloads/generators.h"
 #include "workloads/llama.h"
 #include "workloads/resnet18.h"
 #include "workloads/suite_runner.h"
@@ -226,6 +227,64 @@ TEST(RunLayersBatched, PerLayerExecCountersStayAttributable)
         EXPECT_EQ(runs[i].exec.get("exec.shard0.subTiles") +
                       runs[i].exec.get("exec.shard1.subTiles"),
                   sampled);
+    }
+}
+
+TEST(RunLayersBatched, MemoizedWindowMatchesSerialRunShape)
+{
+    // One window mixing duplicate synthesized keys, catalog-style views
+    // (one of them the very plane a synthesized layer memoizes) and
+    // fresh keys, twice against the same accelerator so the second
+    // window runs on memo hits.
+    const GemmShape a{512, 512, 256}, b{256, 1024, 128}, c{96, 256, 64};
+    const PackedPlane view_a = synthesizePackedPlane(256, 512, 4, 9);
+    const PackedPlane view_d = synthesizePackedPlane(128, 300, 8, 40);
+    const WeightView va = view_a.view(), vd = view_d.view();
+    std::vector<BatchLayerRequest> reqs{
+        BatchLayerRequest{a, 4, 9},
+        BatchLayerRequest{b, 8, 10},
+        BatchLayerRequest{a, 4, 9},
+        BatchLayerRequest{a, 4, 9},
+        BatchLayerRequest{c, 4, 11},
+        BatchLayerRequest{{128, 300, 32}, 8, 40},
+        BatchLayerRequest{{128, 128, 0}, 4, 12},
+    };
+    reqs.push_back(BatchLayerRequest{a, 4, 9});
+    reqs.back().view = &va;
+    reqs.push_back(BatchLayerRequest{{128, 300, 32}, 8, 40});
+    reqs.back().view = &vd;
+
+    std::vector<LayerRun> expect;
+    for (const BatchLayerRequest &r : reqs) {
+        const TransArrayAccelerator fresh(accCfg(1));
+        expect.push_back(fresh.runShape(r.shape, r.weightBits, r.seed));
+    }
+    for (int threads : {1, 2, 8}) {
+        const TransArrayAccelerator acc(accCfg(threads));
+        for (int round = 0; round < 2; ++round) {
+            const std::vector<LayerRun> got = acc.runLayersBatched(reqs);
+            ASSERT_EQ(got.size(), expect.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+                SCOPED_TRACE(::testing::Message()
+                             << "threads " << threads << " round "
+                             << round << " layer " << i);
+                expectLayerRunEqual(got[i], expect[i]);
+                EXPECT_EQ(got[i].energy.core, expect[i].energy.core);
+                const uint64_t lookups =
+                    got[i].exec.get("weightMemo.hits") +
+                    got[i].exec.get("weightMemo.misses");
+                EXPECT_EQ(lookups, reqs[i].view != nullptr ? 0u : 1u);
+                if (round == 1 && reqs[i].view == nullptr) {
+                    EXPECT_EQ(got[i].exec.get("weightMemo.hits"), 1u);
+                }
+            }
+        }
+        // Five distinct synthesized keys; racing duplicates in the
+        // first window may build a key twice but keep one plane.
+        const WeightMemo::Counters m = acc.weightMemoCounters();
+        EXPECT_EQ(m.planes, 5u);
+        EXPECT_EQ(m.hits + m.misses, 14u);
+        EXPECT_GE(m.misses, 5u);
     }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "kernels/kernel_table.h"
 #include "quant/bitslice.h"
 #include "workloads/generators.h"
 
@@ -106,6 +107,117 @@ TEST(ExtractTransRows, RowRange)
     ASSERT_EQ(rows.size(), 4u);
     EXPECT_EQ(rows[0].slicedRow, 2u);
     EXPECT_EQ(rows[3].slicedRow, 5u);
+}
+
+// ---- packed planes --------------------------------------------------------
+
+/** Restores the dispatched kernel table on scope exit. */
+struct KernelGuard
+{
+    std::string prev;
+
+    KernelGuard() : prev(kernelArch()) {}
+    ~KernelGuard() { setKernels(prev); }
+};
+
+/** The per-bit packing rule, one shift-or per column: the oracle the
+ *  kernel-backed packSlicedBits must reproduce byte for byte. */
+std::vector<uint8_t>
+packOracle(const SlicedMatrix &s)
+{
+    const size_t stride = ceilDiv(s.bits.cols(), 8);
+    std::vector<uint8_t> out(s.bits.rows() * stride, 0);
+    for (size_t r = 0; r < s.bits.rows(); ++r)
+        for (size_t c = 0; c < s.bits.cols(); ++c)
+            out[r * stride + (c >> 3)] |=
+                static_cast<uint8_t>(s.bits.at(r, c) << (c & 7));
+    return out;
+}
+
+TEST(PackSlicedBits, MatchesPerBitOracleOnRaggedColumns)
+{
+    KernelGuard guard;
+    // cols % 8 != 0 and cols % 32 != 0 (and the aligned cases), so the
+    // last pack of a row is a partial word ending mid-byte.
+    const size_t cols_list[] = {1, 7, 13, 31, 32, 33, 45, 64, 100, 300};
+    for (const char *arch : {"scalar", "auto"}) {
+        ASSERT_TRUE(setKernels(arch));
+        for (size_t cols : cols_list) {
+            for (int bits : {4, 8}) {
+                const SlicedMatrix s =
+                    realLikeSlicedWeights(5, cols, bits, 60 + cols);
+                EXPECT_EQ(packSlicedBits(s), packOracle(s))
+                    << arch << " cols " << cols << " bits " << bits;
+            }
+        }
+    }
+}
+
+TEST(PackSlicedBits, BitSlicePackedMatchesPackedBitSlice)
+{
+    KernelGuard guard;
+    for (const char *arch : {"scalar", "auto"}) {
+        ASSERT_TRUE(setKernels(arch));
+        for (size_t cols : {5u, 33u, 300u}) {
+            for (int bits : {2, 4, 6, 8, 16}) {
+                const MatI32 m = randomIntMatrix(3, cols, bits, cols);
+                const PackedPlane p = bitSlicePacked(m, bits);
+                EXPECT_EQ(p.bytes, packOracle(bitSlice(m, bits)))
+                    << arch << " cols " << cols << " bits " << bits;
+                EXPECT_EQ(p.rows, 3u * bits);
+                EXPECT_EQ(p.cols, cols);
+                EXPECT_EQ(p.wordBits, bits);
+                EXPECT_EQ(p.origRows, 3u);
+            }
+        }
+    }
+}
+
+TEST(PackSlicedBits, BitSlicePackedRejectsOutOfRange)
+{
+    MatI32 m(1, 3, 0);
+    m.at(0, 2) = 8; // 4-bit range is [-8, 7]
+    EXPECT_THROW(bitSlicePacked(m, 4), std::runtime_error);
+}
+
+TEST(PackSlicedBits, ViewExtractionMatchesSlicedMatrix)
+{
+    // Every chunk width, including chunks that straddle byte
+    // boundaries (T = 3, 5, 13, 32) and ragged last chunks.
+    for (size_t cols : {37u, 64u, 300u}) {
+        const SlicedMatrix s = realLikeSlicedWeights(6, cols, 4, 70);
+        const PackedPlane p = synthesizePackedPlane(6, cols, 4, 70);
+        const WeightView v = p.view();
+        ASSERT_EQ(v.rows, s.bits.rows());
+        for (int t : {1, 3, 4, 5, 8, 13, 16, 32}) {
+            std::vector<TransRow> want, got;
+            for (size_t ch = 0; ch < numChunks(cols, t); ++ch) {
+                extractTransRows(s, t, ch, 1, s.bits.rows(), want);
+                extractTransRows(v, t, ch, 1, v.rows, got);
+                ASSERT_EQ(want.size(), got.size());
+                for (size_t i = 0; i < want.size(); ++i) {
+                    EXPECT_EQ(want[i].value, got[i].value)
+                        << "cols " << cols << " t " << t << " chunk "
+                        << ch << " row " << i;
+                    EXPECT_EQ(want[i].slicedRow, got[i].slicedRow);
+                }
+            }
+        }
+    }
+}
+
+TEST(PackSlicedBits, SynthesizedPlaneIsPackedSlicedWeights)
+{
+    const PackedPlane p = synthesizePackedPlane(9, 45, 8, 71);
+    const SlicedMatrix s = realLikeSlicedWeights(9, 45, 8, 71);
+    EXPECT_EQ(p.bytes, packOracle(s));
+    const WeightView v = p.view();
+    EXPECT_EQ(v.data, p.bytes.data());
+    EXPECT_EQ(v.rowStride, 6u);
+    EXPECT_EQ(v.rows, 72u);
+    EXPECT_EQ(v.cols, 45u);
+    EXPECT_EQ(v.wordBits, 8);
+    EXPECT_EQ(v.origRows, 9u);
 }
 
 TEST(CountOnes, MatchesManual)

@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "core/accelerator.h"
 #include "core/transitive_gemm.h"
 #include "exec/parallel_executor.h"
 #include "exec/plan_cache.h"
+#include "exec/weight_memo.h"
 #include "workloads/generators.h"
 
 namespace ta {
@@ -145,6 +149,97 @@ TEST(PlanCache, DisabledCacheStillBuilds)
     const auto plan = cache.getOrBuild(v, [&] { return sb.build(v); });
     expectPlansEqual(*plan, sb.build(v));
     EXPECT_EQ(cache.size(), 0u);
+}
+
+// ---- WeightMemo ---------------------------------------------------------
+
+/** A stand-in plane of `bytes` bytes, each holding the key's seed. */
+std::function<PackedPlane()>
+fakePlane(const WeightMemo::Key &key, size_t bytes, int *builds)
+{
+    return [=] {
+        ++*builds;
+        PackedPlane p;
+        p.bytes.assign(bytes, static_cast<uint8_t>(key.seed));
+        return p;
+    };
+}
+
+TEST(WeightMemo, EvictsOldestInsertedFirst)
+{
+    WeightMemo memo(300);
+    int builds = 0;
+    auto get = [&](uint64_t seed, bool *hit) {
+        const WeightMemo::Key k{4, 8, 4, seed};
+        return memo.getOrBuild(k, fakePlane(k, 100, &builds), hit);
+    };
+    bool hit = true;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        get(seed, &hit);
+        EXPECT_FALSE(hit);
+    }
+    get(1, &hit); // a hit does not refresh insertion order
+    EXPECT_TRUE(hit);
+    const WeightMemo::Plane held = get(1, &hit);
+    get(4, &hit); // evicts seed 1, the oldest inserted
+    EXPECT_FALSE(hit);
+    WeightMemo::Counters c = memo.counters();
+    EXPECT_EQ(c.evictions, 1u);
+    EXPECT_EQ(c.residentBytes, 300u);
+    EXPECT_EQ(c.planes, 3u);
+    // A plane evicted while held stays intact for its holder.
+    EXPECT_EQ(held->bytes, std::vector<uint8_t>(100, 1));
+    get(2, &hit);
+    EXPECT_TRUE(hit);
+    get(1, &hit); // rebuilt, evicting seed 2
+    EXPECT_FALSE(hit);
+    get(2, &hit);
+    EXPECT_FALSE(hit);
+    c = memo.counters();
+    EXPECT_EQ(c.hits, 3u);
+    EXPECT_EQ(c.misses, 6u);
+    EXPECT_EQ(builds, 6);
+    EXPECT_LE(c.residentBytes, 300u);
+}
+
+TEST(WeightMemo, OversizePlaneIsServedButNotKept)
+{
+    WeightMemo memo(64);
+    int builds = 0;
+    const WeightMemo::Key small{1, 8, 4, 1}, big{1, 800, 4, 2};
+    memo.getOrBuild(small, fakePlane(small, 32, &builds));
+    const WeightMemo::Plane p =
+        memo.getOrBuild(big, fakePlane(big, 100, &builds));
+    EXPECT_EQ(p->bytes.size(), 100u);
+    const WeightMemo::Counters c = memo.counters();
+    EXPECT_EQ(c.planes, 1u); // the small plane survived
+    EXPECT_EQ(c.residentBytes, 32u);
+    EXPECT_EQ(c.evictions, 0u);
+}
+
+TEST(WeightMemo, RacingMissesShareOnePlane)
+{
+    WeightMemo memo(kWeightMemoBudgetBytes);
+    const WeightMemo::Key key{16, 64, 4, 7};
+    std::atomic<int> builds{0};
+    std::vector<WeightMemo::Plane> got(8);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back([&, t] {
+            got[t] = memo.getOrBuild(key, [&] {
+                ++builds;
+                return synthesizePackedPlane(16, 64, 4, 7);
+            });
+        });
+    for (std::thread &th : threads)
+        th.join();
+    const PackedPlane want = synthesizePackedPlane(16, 64, 4, 7);
+    for (const WeightMemo::Plane &p : got)
+        EXPECT_EQ(p->bytes, want.bytes);
+    const WeightMemo::Counters c = memo.counters();
+    EXPECT_EQ(c.planes, 1u);
+    EXPECT_EQ(c.hits + c.misses, got.size());
+    EXPECT_EQ(c.misses, static_cast<uint64_t>(builds.load()));
 }
 
 // ---- Scoreboard scratch reuse -------------------------------------------

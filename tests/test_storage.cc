@@ -17,18 +17,22 @@
  *  - Eviction under a small residency bound is correct and
  *    thread-safe: concurrent pin churn past the bound re-verifies
  *    evicted pages and never yields wrong bytes (run under TSan).
+ *  - `ta_pack` writes exactly packSlicedBits(realLikeSlicedWeights())
+ *    of every layer, packed by the scalar oracle table.
  */
 
 #include <sys/stat.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <gtest/gtest.h>
 #include <thread>
 
 #include "core/accelerator.h"
+#include "kernels/kernel_table.h"
 #include "quant/bitslice.h"
 #include "service/protocol.h"
 #include "service/scheduler.h"
@@ -97,8 +101,11 @@ writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr) << path;
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-              bytes.size());
+    // An empty vector may hold a null data(), which fwrite must not see.
+    if (!bytes.empty()) {
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+    }
     std::fclose(f);
 }
 
@@ -302,6 +309,49 @@ TEST(BufferManagerTest, EvictionChurnUnderThreadsServesCorrectBytes)
     const BufferManager::Counters c = mgr.counters();
     EXPECT_EQ(c.hits + c.misses, 4u * 64u);
     EXPECT_GT(c.evictions, 0u);
+}
+
+// ---- ta_pack output --------------------------------------------------------
+
+TEST(TaPack, PlanesArePackedSlicedWeights)
+{
+    const std::string dir = ::testing::TempDir() + "ta_pack_planes";
+    ::mkdir(dir.c_str(), 0755);
+    const std::string path = dir + "/quick.taseg";
+    const std::string cmd = std::string(TA_PACK_BIN) + " --out " + path +
+                            " --suites quick --wbits 6 --seed 5";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+
+    SegmentFile seg;
+    std::string err;
+    ASSERT_TRUE(seg.open(path, &err)) << err;
+    ASSERT_EQ(seg.models().size(), 1u);
+    const CatalogModel &m = seg.models().front();
+    // The quick suite's k = 300 layer is ragged against both 8- and
+    // 32-column packing.
+    ASSERT_EQ(m.entries.size(), 4u);
+    struct KernelGuard
+    {
+        std::string prev = kernelArch();
+        ~KernelGuard() { setKernels(prev); }
+    } guard;
+    ASSERT_TRUE(setKernels("scalar"));
+    for (size_t i = 0; i < m.entries.size(); ++i) {
+        const CatalogEntry &e = m.entries[i];
+        const GemmShape shape{e.n, e.k, e.m};
+        const auto [nr, kr] = reprDims(shape);
+        EXPECT_EQ(e.seed, 5 + i);
+        EXPECT_EQ(e.wbits, 6);
+        EXPECT_EQ(e.reprRows, nr);
+        EXPECT_EQ(e.reprCols, kr);
+        const std::vector<uint8_t> want =
+            packSlicedBits(realLikeSlicedWeights(nr, kr, 6, e.seed));
+        ASSERT_EQ(e.dataBytes, want.size()) << e.layer;
+        EXPECT_EQ(std::memcmp(seg.pageData(e.firstPage), want.data(),
+                              want.size()),
+                  0)
+            << e.layer;
+    }
 }
 
 // ---- view-vs-synthesis byte identity --------------------------------------

@@ -3,11 +3,11 @@
  * ta_pack: compile workload suites into ta-segment v1 files — the
  * storage tier's write path. Each suite becomes one catalog model
  * whose layer planes are the exact tensors the engine would
- * synthesize at serve time (realLikeSlicedWeights under the runShape
- * repr cap, seeds following the suite_runner layerSeed rule), packed
- * with packSlicedBits. Packing is deterministic: the same suites,
- * seed, wbits and repr caps produce byte-identical files, pinned by
- * the CI re-pack `cmp`.
+ * synthesize at serve time (synthesizePackedPlane under the runShape
+ * repr cap, seeds following the suite_runner layerSeed rule) — the
+ * same function the engine's weight memo packs with. Packing is
+ * deterministic: the same suites, seed, wbits and repr caps produce
+ * byte-identical files, pinned by the CI re-pack `cmp`.
  *
  * Usage:
  *   ta_pack --out FILE --suites A[,B...] [--wbits N] [--seed S]
@@ -79,24 +79,6 @@ const char *kSuiteNames[] = {"quick",       "llama7b-fc",
                              "llama7b-attn", "llama13b-fc",
                              "llama8b-fc",   "resnet18"};
 
-/** The runShape representative cap (accelerator.cc reprDims). */
-std::pair<uint64_t, uint64_t>
-reprDims(const GemmShape &shape, uint64_t repr_rows, uint64_t repr_cols)
-{
-    return {std::min(shape.n, repr_rows), std::min(shape.k, repr_cols)};
-}
-
-/** Synthesize + pack the plane of one suite layer — the single rule
- *  both the packer and --verify use, identical to the serving-time
- *  synthesis fallback. */
-std::vector<uint8_t>
-packPlane(const GemmShape &shape, int wbits, uint64_t seed,
-          uint64_t repr_rows, uint64_t repr_cols)
-{
-    const auto [nr, kr] = reprDims(shape, repr_rows, repr_cols);
-    return packSlicedBits(realLikeSlicedWeights(nr, kr, wbits, seed));
-}
-
 SegmentModelInput
 buildModel(const WorkloadSuite &suite, int wbits, uint64_t base_seed,
            uint64_t repr_rows, uint64_t repr_cols)
@@ -117,8 +99,7 @@ buildModel(const WorkloadSuite &suite, int wbits, uint64_t base_seed,
         const auto [nr, kr] = reprDims(l.shape, repr_rows, repr_cols);
         e.reprRows = nr;
         e.reprCols = kr;
-        e.packed = packPlane(l.shape, wbits, e.seed, repr_rows,
-                             repr_cols);
+        e.packed = synthesizePackedPlane(nr, kr, wbits, e.seed).bytes;
         m.entries.push_back(std::move(e));
     }
     return m;
@@ -134,8 +115,9 @@ verifySegment(const SegmentFile &seg)
         uint64_t bytes = 0;
         for (const CatalogEntry &e : m.entries) {
             const std::vector<uint8_t> fresh =
-                packSlicedBits(realLikeSlicedWeights(
-                    e.reprRows, e.reprCols, e.wbits, e.seed));
+                synthesizePackedPlane(e.reprRows, e.reprCols, e.wbits,
+                                      e.seed)
+                    .bytes;
             const uint8_t *stored = seg.pageData(e.firstPage);
             if (fresh.size() != e.dataBytes ||
                 std::memcmp(fresh.data(), stored, fresh.size()) != 0) {
