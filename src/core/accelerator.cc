@@ -107,7 +107,8 @@ struct TransArrayAccelerator::ShardAcc
     uint64_t cacheHits = 0, cacheMisses = 0;
 };
 
-TransArrayAccelerator::TransArrayAccelerator(Config config)
+TransArrayAccelerator::TransArrayAccelerator(
+    Config config, std::shared_ptr<WeightMemo> weight_memo)
     : config_(config), unit_(config.unit), pool_(config.threads),
       ownPlanCache_(config.sharedPlanCache != nullptr
                         ? 0
@@ -115,7 +116,11 @@ TransArrayAccelerator::TransArrayAccelerator(Config config)
       planCache_(config.sharedPlanCache != nullptr
                      ? config.sharedPlanCache
                      : &ownPlanCache_),
-      scratch_(static_cast<size_t>(pool_.threads()))
+      scratch_(static_cast<size_t>(pool_.threads())),
+      weightMemo_(weight_memo != nullptr
+                      ? std::move(weight_memo)
+                      : std::make_shared<WeightMemo>(
+                            kWeightMemoBudgetBytes))
 {
     TA_ASSERT(config_.units >= 1, "need at least one unit");
 }
@@ -373,7 +378,7 @@ TransArrayAccelerator::reprPlane(const GemmShape &shape, int weight_bits,
                                  size_t repr_cols, bool *hit) const
 {
     const auto [nr, kr] = reprDims(shape, repr_rows, repr_cols);
-    return weightMemo_.getOrBuild(
+    return weightMemo_->getOrBuild(
         {nr, kr, weight_bits, seed},
         [&] { return synthesizePackedPlane(nr, kr, weight_bits, seed); },
         hit);

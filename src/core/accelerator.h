@@ -142,7 +142,15 @@ class TransArrayAccelerator
         PlanCache *sharedPlanCache = nullptr;
     };
 
-    explicit TransArrayAccelerator(Config config);
+    /**
+     * `weight_memo` (optional) is a weight memo shared with other
+     * accelerators — the service front-end's one process-wide memo.
+     * Planes depend only on their key, never on the engine config, so
+     * sharing changes hit rates only. Without it the accelerator keeps
+     * its own kWeightMemoBudgetBytes memo.
+     */
+    explicit TransArrayAccelerator(
+        Config config, std::shared_ptr<WeightMemo> weight_memo = nullptr);
 
     const Config &config() const { return config_; }
 
@@ -240,7 +248,7 @@ class TransArrayAccelerator
     /** Lifetime weight-memo counters and resident bytes. */
     WeightMemo::Counters weightMemoCounters() const
     {
-        return weightMemo_.counters();
+        return weightMemo_->counters();
     }
 
     /** Cumulative per-worker busy time (host utilization view). */
@@ -314,8 +322,10 @@ class TransArrayAccelerator
      * pool_.run(), which serializes calls.
      */
     mutable std::vector<ExecScratch> scratch_;
-    /** Synthesized planes shared by runShape and runLayersBatched. */
-    mutable WeightMemo weightMemo_{kWeightMemoBudgetBytes};
+    /** Synthesized planes shared by runShape and runLayersBatched
+     *  (and by other accelerators when the constructor was given a
+     *  memo). */
+    std::shared_ptr<WeightMemo> weightMemo_;
 };
 
 } // namespace ta

@@ -44,6 +44,13 @@ WeightMemo::getOrBuild(const Key &key,
     return plane;
 }
 
+bool
+WeightMemo::contains(const Key &key) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return planes_.count(key) != 0;
+}
+
 WeightMemo::Counters
 WeightMemo::counters() const
 {

@@ -4,7 +4,7 @@
  * inputs (repr rows, repr cols, wbits, seed). A LLaMA suite pass asks
  * for the same representative tensor again and again (54 of its 63
  * layers repeat a tensor an earlier model built); the memo builds each
- * one once per accelerator and hands every later layer the packed
+ * one once per memo and hands every later layer the packed
  * plane through the same WeightView path catalog layers take.
  *
  * Planes are stored bit-packed (PackedPlane), never byte-per-bit, and
@@ -14,7 +14,8 @@
  * pass it, the oldest-inserted planes are evicted first (FIFO). A
  * plane larger than the whole budget is returned but not kept.
  *
- * Thread safety: getOrBuild/counters are safe from any thread. The
+ * Thread safety: getOrBuild/contains/counters are safe from any
+ * thread, so accelerators may share one memo (the service does). The
  * build runs outside the lock, so concurrent misses on different keys
  * synthesize in parallel; concurrent misses on one key may build
  * twice, and the first insertion wins.
@@ -39,9 +40,9 @@
 
 namespace ta {
 
-/** Byte budget of each accelerator's weight memo. One LLaMA suite
- *  pass holds about 3.8 MiB of planes: seven 512 KiB FC planes plus
- *  two small attention planes. */
+/** Byte budget of a weight memo (one per standalone accelerator, one
+ *  per ta_serve process). One LLaMA suite pass holds about 3.8 MiB of
+ *  planes: seven 512 KiB FC planes plus two small attention planes. */
 constexpr size_t kWeightMemoBudgetBytes = size_t{16} << 20;
 
 class WeightMemo
@@ -78,6 +79,10 @@ class WeightMemo
     Plane getOrBuild(const Key &key,
                      const std::function<PackedPlane()> &build,
                      bool *hit = nullptr);
+
+    /** Whether a plane for `key` is resident now (no counter moves):
+     *  the service planner's read-only look at the memo. */
+    bool contains(const Key &key) const;
 
     Counters counters() const;
 

@@ -121,16 +121,10 @@ packBitsAvx2(const uint8_t *bits, size_t n)
         std::memcpy(&hi, bits + 8, n - 8);
         return pack8(lo) | (pack8(hi) << 8);
     }
-    __m256i x;
-    if (n >= 32) {
-        // A full window (packSlicedBits' 32-column packs): the 32
-        // bytes are all in bounds, so load them directly.
-        x = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(bits));
-    } else {
-        alignas(32) uint8_t tmp[32] = {};
-        std::memcpy(tmp, bits, n);
-        x = _mm256_load_si256(reinterpret_cast<const __m256i *>(tmp));
-    }
+    alignas(32) uint8_t tmp[32] = {};
+    std::memcpy(tmp, bits, n <= 32 ? n : 32);
+    const __m256i x =
+        _mm256_load_si256(reinterpret_cast<const __m256i *>(tmp));
     return static_cast<uint32_t>(_mm256_movemask_epi8(
         _mm256_cmpgt_epi8(x, _mm256_setzero_si256())));
 }

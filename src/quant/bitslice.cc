@@ -14,17 +14,19 @@ SlicedMatrix::levelWeight(size_t r) const
     return level == wordBits - 1 ? -mag : mag;
 }
 
-namespace {
-
-/** fatal()s unless every value of `m` fits `word_bits`-bit 2's
- *  complement. */
-void
-checkSliceRange(const MatI32 &m, int word_bits)
+SlicedMatrix
+bitSlice(const MatI32 &m, int word_bits)
 {
     TA_ASSERT(word_bits >= 2 && word_bits <= 16,
               "unsupported slice width ", word_bits);
     const int64_t lo = -(1ll << (word_bits - 1));
     const int64_t hi = (1ll << (word_bits - 1)) - 1;
+
+    SlicedMatrix s;
+    s.wordBits = word_bits;
+    s.origRows = m.rows();
+    s.bits = MatBit(m.rows() * word_bits, m.cols(), 0);
+    const KernelTable &kt = kernels();
     for (size_t r = 0; r < m.rows(); ++r) {
         const int32_t *row = m.rowPtr(r);
         for (size_t c = 0; c < m.cols(); ++c) {
@@ -34,70 +36,15 @@ checkSliceRange(const MatI32 &m, int word_bits)
                          ") exceeds ", word_bits, "-bit range");
             }
         }
-    }
-}
-
-/** Pack one byte-per-bit row of `cols` {0,1} bytes into `dst`
- *  (ceilDiv(cols, 8) bytes, LSB-first). Bit j of a 32-column pack is
- *  column c + j, so its four bytes are bytes (c >> 3) .. (c >> 3) + 3
- *  of the row. */
-void
-packRow(const KernelTable &kt, const uint8_t *bits, size_t cols,
-        uint8_t *dst)
-{
-    for (size_t c = 0; c < cols; c += 32) {
-        const size_t n = std::min<size_t>(32, cols - c);
-        const uint32_t word = kt.packBits(bits + c, n);
-        for (size_t b = 0; b < ceilDiv(n, 8); ++b)
-            dst[(c >> 3) + b] = static_cast<uint8_t>(word >> (8 * b));
-    }
-}
-
-} // namespace
-
-SlicedMatrix
-bitSlice(const MatI32 &m, int word_bits)
-{
-    checkSliceRange(m, word_bits);
-    SlicedMatrix s;
-    s.wordBits = word_bits;
-    s.origRows = m.rows();
-    s.bits = MatBit(m.rows() * word_bits, m.cols(), 0);
-    const KernelTable &kt = kernels();
-    // 2's complement bit pattern of each value, one level row per bit.
-    // Extracting bit b of the raw int32 equals extracting it from the
-    // word_bits-masked pattern for b < word_bits, so the kernel needs
-    // no separate mask step.
-    for (size_t r = 0; r < m.rows(); ++r)
+        // 2's complement bit pattern of each value, one level row per
+        // bit. Extracting bit b of the raw int32 equals extracting it
+        // from the word_bits-masked pattern for b < word_bits, so the
+        // kernel needs no separate mask step.
         for (int b = 0; b < word_bits; ++b)
-            kt.sliceLevel(s.bits.rowPtr(r * word_bits + b), m.rowPtr(r),
+            kt.sliceLevel(s.bits.rowPtr(r * word_bits + b), row,
                           m.cols(), b);
-    return s;
-}
-
-PackedPlane
-bitSlicePacked(const MatI32 &m, int word_bits)
-{
-    checkSliceRange(m, word_bits);
-    PackedPlane p;
-    p.rows = m.rows() * word_bits;
-    p.cols = m.cols();
-    p.wordBits = word_bits;
-    p.origRows = m.rows();
-    const size_t stride = ceilDiv(p.cols, 8);
-    p.bytes.assign(p.rows * stride, 0);
-    const KernelTable &kt = kernels();
-    // bitSlice's level rows, one at a time through a reused row buffer,
-    // each packed as packSlicedBits packs it.
-    std::vector<uint8_t> level(p.cols);
-    for (size_t r = 0; r < m.rows(); ++r) {
-        for (int b = 0; b < word_bits; ++b) {
-            kt.sliceLevel(level.data(), m.rowPtr(r), p.cols, b);
-            packRow(kt, level.data(), p.cols,
-                    p.bytes.data() + (r * word_bits + b) * stride);
-        }
     }
-    return p;
+    return s;
 }
 
 MatI32
@@ -178,9 +125,18 @@ packSlicedBits(const SlicedMatrix &s)
     const size_t stride = ceilDiv(s.bits.cols(), 8);
     std::vector<uint8_t> out(s.bits.rows() * stride, 0);
     const KernelTable &kt = kernels();
-    for (size_t r = 0; r < s.bits.rows(); ++r)
-        packRow(kt, s.bits.rowPtr(r), s.bits.cols(),
-                out.data() + r * stride);
+    for (size_t r = 0; r < s.bits.rows(); ++r) {
+        const uint8_t *row = s.bits.rowPtr(r);
+        uint8_t *dst = out.data() + r * stride;
+        // Bit j of a 32-column pack is column c + j, so its four bytes
+        // are bytes (c >> 3) .. (c >> 3) + 3 of the packed row.
+        for (size_t c = 0; c < s.bits.cols(); c += 32) {
+            const size_t n = std::min<size_t>(32, s.bits.cols() - c);
+            const uint32_t word = kt.packBits(row + c, n);
+            for (size_t b = 0; b < ceilDiv(n, 8); ++b)
+                dst[(c >> 3) + b] = static_cast<uint8_t>(word >> (8 * b));
+        }
+    }
     return out;
 }
 

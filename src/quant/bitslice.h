@@ -107,8 +107,8 @@ void extractTransRows(const WeightView &v, int t_bits, size_t chunk,
 /**
  * Pack a byte-per-bit SlicedMatrix into the WeightView bit layout
  * (LSB-first within each byte, rows padded to whole bytes with
- * zeros). This is the one packing rule: bitSlicePacked (behind
- * `ta_pack` and the weight memo) writes the same bytes, and the
+ * zeros). This is the one packing rule: `ta_pack` and the weight
+ * memo both pack with it (through synthesizePackedPlane), and the
  * round-trip tests verify against it. Packs 32 columns per kernel
  * packBits call; the output is identical under every kernel table.
  */
@@ -134,13 +134,6 @@ struct PackedPlane
                 origRows};
     }
 };
-
-/**
- * bitSlice straight into the packed layout: the same bytes as
- * packSlicedBits(bitSlice(m, word_bits)), without materializing the
- * byte-per-bit matrix. fatal()s on out-of-range values like bitSlice.
- */
-PackedPlane bitSlicePacked(const MatI32 &m, int word_bits);
 
 /** Number of T-wide column chunks covering K columns. */
 inline size_t

@@ -96,7 +96,8 @@ solveActive(const std::array<std::array<double, CostFeatures::kCount>,
 } // namespace
 
 CostFeatures
-costFeaturesOf(const ServiceRequest &req, double miss_prob)
+costFeaturesOf(const ServiceRequest &req, double miss_prob,
+               bool plane_resident)
 {
     miss_prob = std::clamp(miss_prob, 0.0, 1.0);
     // The same defaults the scheduler's engines are built from: one
@@ -130,8 +131,10 @@ costFeaturesOf(const ServiceRequest &req, double miss_prob)
     const uint64_t sampled = ceilDiv(total, stride);
 
     out.f[1] = static_cast<double>(sampled);
-    out.f[2] = static_cast<double>(sliced_rows) *
-               static_cast<double>(kr); // nr * wbits * kr bit area
+    // The nr * wbits * kr bit area, unless nothing gets synthesized.
+    out.f[2] = plane_resident ? 0.0
+                              : static_cast<double>(sliced_rows) *
+                                    static_cast<double>(kr);
     out.f[3] = req.useStatic ? static_cast<double>(sampled) : 0.0;
     out.f[4] = miss_prob * static_cast<double>(sampled);
     return out;
@@ -165,16 +168,17 @@ CostModel::predictCycles(const CostFeatures &features) const
 }
 
 double
-CostModel::predictMs(const ServiceRequest &req) const
+CostModel::predictMs(const ServiceRequest &req, bool plane_resident) const
 {
-    return predictMsAt(req, assumedMissProb_);
+    return predictMsAt(req, assumedMissProb_, plane_resident);
 }
 
 double
-CostModel::predictMsAt(const ServiceRequest &req,
-                       double miss_prob) const
+CostModel::predictMsAt(const ServiceRequest &req, double miss_prob,
+                       bool plane_resident) const
 {
-    return predictCycles(costFeaturesOf(req, miss_prob)) / 1e6;
+    return predictCycles(costFeaturesOf(req, miss_prob, plane_resident)) /
+           1e6;
 }
 
 void

@@ -7,15 +7,16 @@
  * arithmetic `TransArrayAccelerator::layerGeometry` applies to the
  * synthesized representative tensor, so a prediction never has to touch
  * an engine, a cache, or a clock. Predictions are pure functions of
- * (request, coefficients file): byte-identical across runs, which is
- * what lets the planner's shed decisions stay inside the service
- * determinism contract.
+ * (request, coefficients file, plane-resident flag): byte-identical
+ * across runs. The caller supplies the flag (whether the weight memo
+ * holds the request's plane); everything else is geometry.
  *
  * Features (all derived without synthesizing the tensor):
  *   f0 = 1                      per-request fixed overhead
  *   f1 = sampled sub-tiles      scoreboard passes actually simulated
  *   f2 = sliced bit area        nr * wbits * kr, tensor synthesis +
- *                               bit-slicing work
+ *                               bit-slicing work (0 when the plane is
+ *                               already in the engine's weight memo)
  *   f3 = static-calibration     sampled sub-tiles when the request
  *                               uses the static scoreboard, else 0
  *   f4 = missProb * sampled     plan-construction work on cache misses
@@ -61,8 +62,13 @@ struct CostFeatures
  * (kDefaultReprRows x kDefaultReprCols), sub-tiles of
  * maxTransRows x tbits over the sliced nr*wbits x kr bit matrix,
  * stride-sampled down to the request's sample limit.
+ *
+ * `plane_resident` says the serving engine's weight memo already holds
+ * the request's representative plane: the engine then synthesizes
+ * nothing, so the synthesis feature (f2) is 0.
  */
-CostFeatures costFeaturesOf(const ServiceRequest &req, double miss_prob);
+CostFeatures costFeaturesOf(const ServiceRequest &req, double miss_prob,
+                            bool plane_resident = false);
 
 class CostModel
 {
@@ -92,12 +98,14 @@ class CostModel
     double predictCycles(const CostFeatures &features) const;
 
     /** Predicted service milliseconds for one request, using the
-     *  model's calibrated steady-state miss probability. */
-    double predictMs(const ServiceRequest &req) const;
+     *  model's calibrated steady-state miss probability.
+     *  `plane_resident` as in costFeaturesOf. */
+    double predictMs(const ServiceRequest &req,
+                     bool plane_resident = false) const;
 
     /** Same, at an explicit miss probability. */
-    double predictMsAt(const ServiceRequest &req,
-                       double miss_prob) const;
+    double predictMsAt(const ServiceRequest &req, double miss_prob,
+                       bool plane_resident = false) const;
 
     /**
      * Nonnegative least-squares fit over `samples` (normal equations +

@@ -22,11 +22,12 @@ scoreboardKeyOf(const ScoreboardConfig &c)
 } // namespace
 
 std::string
-WindowPlanner::admissionShed(const ServiceRequest &req) const
+WindowPlanner::admissionShed(const ServiceRequest &req,
+                             bool plane_resident) const
 {
     if (req.deadlineMs == 0)
         return "";
-    const double predicted = model_.predictMs(req);
+    const double predicted = model_.predictMs(req, plane_resident);
     if (predicted <= static_cast<double>(req.deadlineMs))
         return "";
     return "deadline_unmeetable: predicted " + formatDouble(predicted) +
@@ -35,9 +36,10 @@ WindowPlanner::admissionShed(const ServiceRequest &req) const
 }
 
 void
-WindowPlanner::annotate(ServiceJob &job, double now_ms) const
+WindowPlanner::annotate(ServiceJob &job, double now_ms,
+                        bool plane_resident) const
 {
-    job.predictedMs = model_.predictMs(job.request);
+    job.predictedMs = model_.predictMs(job.request, plane_resident);
     if (job.request.deadlineMs > 0)
         job.deadlineAbsMs =
             now_ms + static_cast<double>(job.request.deadlineMs);
@@ -203,11 +205,13 @@ void
 ServiceScheduler::submit(const ServiceRequest &req,
                          ServiceResponder respond)
 {
+    const bool resident =
+        config_.plannedScheduling && planeResident(req);
     if (config_.plannedScheduling) {
-        // Deterministic SLO admission control: a request whose
-        // predicted service cost alone exceeds its own deadline is
-        // shed before burning cycles — explicitly, never silently.
-        const std::string shed = planner_.admissionShed(req);
+        // SLO admission control: a request whose predicted service
+        // cost alone exceeds its own deadline is shed before burning
+        // cycles — explicitly, never silently.
+        const std::string shed = planner_.admissionShed(req, resident);
         if (!shed.empty()) {
             shedUnmeetable_.add(1);
             respond(serializeError(req.id, shed));
@@ -220,7 +224,7 @@ ServiceScheduler::submit(const ServiceRequest &req,
     job.respond = std::move(respond);
     job.enqueued = std::chrono::steady_clock::now();
     if (config_.plannedScheduling)
-        planner_.annotate(job, steadyNowMs());
+        planner_.annotate(job, steadyNowMs(), resident);
     ServiceResponder reject_path = job.respond; // queue may move job
     if (!queue_.submit(std::move(job)))
         reject_path(serializeError(req.id, "overloaded: queue full"));
@@ -266,11 +270,20 @@ ServiceScheduler::engineFor(const ServiceRequest &req)
         store_.restore(sc, *shared);
     }
     cfg.sharedPlanCache = shared;
-    auto engine = std::make_unique<TransArrayAccelerator>(cfg);
+    auto engine = std::make_unique<TransArrayAccelerator>(cfg, weightMemo_);
     std::lock_guard<std::mutex> lock(engineMu_);
     // A racing session may have inserted the same key first; emplace
     // keeps the winner and discards our duplicate.
     return *engines_.emplace(key, std::move(engine)).first->second;
+}
+
+bool
+ServiceScheduler::planeResident(const ServiceRequest &req) const
+{
+    if (!req.model.empty())
+        return false;
+    const auto [nr, kr] = reprDims(req.shape);
+    return weightMemo_->contains({nr, kr, req.wbits, req.seed});
 }
 
 void

@@ -93,10 +93,13 @@ struct ServiceConfig
  * The planning layer of the scheduler: owns the calibrated CostModel
  * and turns it into per-job annotations (predicted cost, absolute
  * deadline) and the admission-time unmeetable-deadline shed decision.
- * Predictions are pure functions of (request, coefficients), so for a
- * fixed trace, thread count and coefficients file the planned
- * schedule — including which requests are shed — is byte-identical
- * across runs (the determinism contract, docs/SERVICE.md).
+ * Predictions are pure functions of (request, coefficients, whether
+ * the weight memo holds the request's plane). A trace whose tensors do
+ * not repeat therefore gets the same planned schedule — including
+ * which requests are shed — on every run for a fixed thread count and
+ * coefficients file; a repeated tensor is priced without synthesis
+ * once its plane is resident. Responses never depend on any of it
+ * (the determinism contract, docs/SERVICE.md).
  */
 class WindowPlanner
 {
@@ -112,23 +115,28 @@ class WindowPlanner
 
     const CostModel &model() const { return model_; }
 
-    double predictMs(const ServiceRequest &req) const
+    /** `plane_resident`: the weight memo already holds the request's
+     *  plane, so serving it synthesizes nothing (costFeaturesOf). */
+    double predictMs(const ServiceRequest &req,
+                     bool plane_resident = false) const
     {
-        return model_.predictMs(req);
+        return model_.predictMs(req, plane_resident);
     }
 
     /**
      * Non-empty when the request provably cannot meet its own
      * deadline_ms (predicted service cost alone exceeds it, before
      * any queueing): the `deadline_unmeetable` error message to shed
-     * with. Deliberately ignores queue depth and wall-clock so the
-     * decision is deterministic.
+     * with. Deliberately ignores queue depth and wall-clock; the only
+     * server state it reads is `plane_resident`.
      */
-    std::string admissionShed(const ServiceRequest &req) const;
+    std::string admissionShed(const ServiceRequest &req,
+                              bool plane_resident = false) const;
 
     /** Fill the job's planning fields (prediction + absolute
      *  deadline) from `now_ms` on the steadyNowMs() clock. */
-    void annotate(ServiceJob &job, double now_ms) const;
+    void annotate(ServiceJob &job, double now_ms,
+                  bool plane_resident = false) const;
 
   private:
     CostModel model_;
@@ -237,6 +245,9 @@ class ServiceScheduler
     bool resolveModel(const ServiceRequest &req,
                       BufferManager::Pin &pin, std::string &err);
     TransArrayAccelerator &engineFor(const ServiceRequest &req);
+    /** Whether serving `req` synthesizes nothing because the weight
+     *  memo already holds its plane (catalog requests never look). */
+    bool planeResident(const ServiceRequest &req) const;
     void recordLatency(double ms);
     /** Capture every shared cache into the store and save the file. */
     bool persistSnapshot();
@@ -253,6 +264,11 @@ class ServiceScheduler
     PlanCacheStore store_;
     uint64_t plansLoaded_ = 0;
 
+    /** One weight memo for every engine: planes depend only on their
+     *  key, so engines hit each other's planes, and the process holds
+     *  at most kWeightMemoBudgetBytes of them. */
+    const std::shared_ptr<WeightMemo> weightMemo_ =
+        std::make_shared<WeightMemo>(kWeightMemoBudgetBytes);
     mutable std::mutex engineMu_;
     std::map<EngineKey, std::unique_ptr<TransArrayAccelerator>> engines_;
     /** Keyed by the plan-relevant ScoreboardConfig fields. */

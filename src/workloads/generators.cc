@@ -59,7 +59,13 @@ realLikeSlicedWeights(size_t rows, size_t cols, int bits, uint64_t seed)
 PackedPlane
 synthesizePackedPlane(size_t rows, size_t cols, int bits, uint64_t seed)
 {
-    return bitSlicePacked(realLikeWeights(rows, cols, bits, seed), bits);
+    PackedPlane p;
+    p.bytes = packSlicedBits(realLikeSlicedWeights(rows, cols, bits, seed));
+    p.rows = rows * static_cast<size_t>(bits);
+    p.cols = cols;
+    p.wordBits = bits;
+    p.origRows = rows;
+    return p;
 }
 
 MatI32

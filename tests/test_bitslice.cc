@@ -153,33 +153,6 @@ TEST(PackSlicedBits, MatchesPerBitOracleOnRaggedColumns)
     }
 }
 
-TEST(PackSlicedBits, BitSlicePackedMatchesPackedBitSlice)
-{
-    KernelGuard guard;
-    for (const char *arch : {"scalar", "auto"}) {
-        ASSERT_TRUE(setKernels(arch));
-        for (size_t cols : {5u, 33u, 300u}) {
-            for (int bits : {2, 4, 6, 8, 16}) {
-                const MatI32 m = randomIntMatrix(3, cols, bits, cols);
-                const PackedPlane p = bitSlicePacked(m, bits);
-                EXPECT_EQ(p.bytes, packOracle(bitSlice(m, bits)))
-                    << arch << " cols " << cols << " bits " << bits;
-                EXPECT_EQ(p.rows, 3u * bits);
-                EXPECT_EQ(p.cols, cols);
-                EXPECT_EQ(p.wordBits, bits);
-                EXPECT_EQ(p.origRows, 3u);
-            }
-        }
-    }
-}
-
-TEST(PackSlicedBits, BitSlicePackedRejectsOutOfRange)
-{
-    MatI32 m(1, 3, 0);
-    m.at(0, 2) = 8; // 4-bit range is [-8, 7]
-    EXPECT_THROW(bitSlicePacked(m, 4), std::runtime_error);
-}
-
 TEST(PackSlicedBits, ViewExtractionMatchesSlicedMatrix)
 {
     // Every chunk width, including chunks that straddle byte

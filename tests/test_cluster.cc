@@ -115,6 +115,22 @@ singleKeyTrace(size_t count)
     return trace;
 }
 
+/**
+ * singleKeyTrace with every request synthesizing a 4096-column plane
+ * (distinct seeds, so no weight-memo hits): the SIGKILL tests need the
+ * victim replica to still hold unserved requests when the kill lands,
+ * and tiny requests can all be answered before the router has read
+ * the first response.
+ */
+std::vector<ServiceRequest>
+sigkillTrace(size_t count)
+{
+    std::vector<ServiceRequest> trace = singleKeyTrace(count);
+    for (ServiceRequest &r : trace)
+        r.shape.k = 4096;
+    return trace;
+}
+
 /** Standalone serial oracle (fresh single-threaded engines). */
 std::vector<std::string>
 standaloneResponses(const std::vector<ServiceRequest> &trace)
@@ -293,7 +309,7 @@ TEST(ClusterResilience, CrashedReplicaRestartsNoLostNoDuplicated)
 {
     constexpr int kReplicas = 3;
     constexpr size_t kRequests = 32;
-    std::vector<ServiceRequest> trace = singleKeyTrace(kRequests);
+    std::vector<ServiceRequest> trace = sigkillTrace(kRequests);
     for (size_t i = 0; i < trace.size(); ++i)
         trace[i].id = i + 1;
     const std::vector<std::string> expect =
@@ -631,7 +647,7 @@ TEST(ClusterTracing, TraceSurvivesSigkillRedispatchExactlyOnce)
 {
     constexpr int kReplicas = 3;
     constexpr size_t kRequests = 32;
-    std::vector<ServiceRequest> trace = singleKeyTrace(kRequests);
+    std::vector<ServiceRequest> trace = sigkillTrace(kRequests);
     std::set<std::string> minted;
     for (size_t i = 0; i < trace.size(); ++i) {
         trace[i].id = i + 1;

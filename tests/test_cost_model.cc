@@ -121,6 +121,22 @@ TEST(CostModel_, CacheHitPredictionNeverExceedsMiss)
     }
 }
 
+TEST(CostModel_, ResidentPlaneDropsOnlyTheSynthesisTerm)
+{
+    const CostModel model = CostModel::builtin();
+    for (const ServiceRequest &r :
+         costCalibrationBattery(7, /*quick=*/false)) {
+        for (double miss : {0.0, 1.0}) {
+            const CostFeatures cold = costFeaturesOf(r, miss);
+            CostFeatures want = cold;
+            want.f[2] = 0.0;
+            EXPECT_EQ(costFeaturesOf(r, miss, true).f, want.f);
+            EXPECT_LE(model.predictMsAt(r, miss, true),
+                      model.predictMsAt(r, miss));
+        }
+    }
+}
+
 TEST(CostModel_, DegenerateLayerStillPredictsFiniteCost)
 {
     const CostModel model = CostModel::builtin();

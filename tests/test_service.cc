@@ -731,6 +731,59 @@ TEST(ServiceScheduler_, ShedsUnmeetableDeadlinesExplicitly)
     EXPECT_EQ(s.scheduler, "planned");
 }
 
+TEST(ServiceScheduler_, ResidentPlaneIsPricedWithoutSynthesis)
+{
+    ServiceConfig cfg;
+    cfg.window = 1;
+    cfg.sessions = 1;
+    ServiceScheduler sched(cfg);
+    sched.start();
+    auto serve = [&](const ServiceRequest &r) {
+        std::promise<std::string> done;
+        sched.submit(r, [&](const std::string &line) {
+            done.set_value(line);
+        });
+        return done.get_future().get();
+    };
+
+    // A deadline the request meets only when its plane is already in
+    // the weight memo: synthesis alone would overrun it.
+    ServiceRequest r;
+    r.id = 1;
+    r.shape = {256, 4096, 64};
+    r.samples = 8;
+    r.seed = 77;
+    const double resident_ms = sched.planner().predictMs(r, true);
+    const double cold_ms = sched.planner().predictMs(r, false);
+    r.deadlineMs = static_cast<uint64_t>(resident_ms) + 1;
+    ASSERT_LT(static_cast<double>(r.deadlineMs), cold_ms)
+        << "fixture must separate the two predictions";
+
+    EXPECT_TRUE(isDeadlineUnmeetableLine(serve(r)));
+
+    // Serving the tensor once (no deadline) makes its plane resident;
+    // the memo is shared by every engine, so a request on another
+    // engine (different sample budget) is now admitted.
+    ServiceRequest warm = r;
+    warm.deadlineMs = 0;
+    const std::string warm_line = serve(warm);
+    EXPECT_NE(warm_line.find("\"ok\":1"), std::string::npos) << warm_line;
+    EXPECT_EQ(serve(r), warm_line); // same engine, now admitted
+    ServiceRequest other = r;
+    other.samples = 16;
+    other.deadlineMs = static_cast<uint64_t>(
+                           sched.planner().predictMs(other, true)) +
+                       1;
+    ASSERT_LT(static_cast<double>(other.deadlineMs),
+              sched.planner().predictMs(other, false));
+    EXPECT_NE(serve(other).find("\"ok\":1"), std::string::npos);
+    sched.stop();
+
+    const ServiceStats s = sched.stats();
+    EXPECT_EQ(s.shedUnmeetable, 1u);
+    EXPECT_EQ(s.served, 3u);
+}
+
 TEST(ServiceScheduler_, FifoModeNeverShedsOnDeadline)
 {
     ServiceConfig cfg;

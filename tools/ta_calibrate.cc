@@ -285,8 +285,9 @@ main(int argc, char **argv)
     for (size_t i = 0; i < battery.size(); ++i) {
         const ServiceRequest &req = battery[i];
         // A fresh engine per point: the cold run measures plan
-        // construction (miss features), the following warm runs hit
-        // the engine's own cache (hit features).
+        // construction and weight synthesis (miss features), the
+        // following warm runs hit the engine's own plan cache and
+        // weight memo (hit features, plane resident).
         TransArrayAccelerator acc(
             engineConfig(engineKeyOf(req), threads));
         CostModel::Sample cold;
@@ -298,7 +299,7 @@ main(int argc, char **argv)
         for (int r = 0; r < reps; ++r)
             warm_ns.push_back(timeRunNs(acc, req));
         CostModel::Sample warm;
-        warm.features = costFeaturesOf(req, 0.0);
+        warm.features = costFeaturesOf(req, 0.0, /*plane_resident=*/true);
         warm.measuredNs = medianNs(warm_ns);
         samples.push_back(warm);
 

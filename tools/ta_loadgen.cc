@@ -875,7 +875,10 @@ constexpr uint64_t kHopelessDeadlineMs = 2;
  * Deadline-bearing SLO trace: the regular seeded mixed trace with a
  * generous per-request deadline, except every 4th request is replaced
  * by a heavy full-size layer carrying a deadline no host can meet
- * (kHopelessDeadlineMs). A planned server sheds the hopeless quarter
+ * (kHopelessDeadlineMs). The layer is heavy in simulated sub-tiles
+ * (2048 sampled), not only in weight synthesis: the warm pass leaves
+ * its plane in the server's weight memo, so the timed pass skips
+ * synthesis. A planned server sheds the hopeless quarter
  * at admission for ~zero cost; a FIFO server burns real execution
  * time on work that was already late, starving the meetable
  * requests' goodput — exactly the contrast BENCH_slo.json gates on.
@@ -894,7 +897,7 @@ buildSloTrace(uint64_t seed, size_t count, bool quick,
                 r.shape = {2048, 4096, 1024};
             else
                 r.shape = {4096, 4096, 2048};
-            r.samples = 96;
+            r.samples = 2048;
             r.wbits = 4;
             r.useStatic = false;
             r.seed = static_cast<uint64_t>(
@@ -1047,17 +1050,10 @@ runSloMode(const std::string &serve_bin, size_t requests,
     const std::vector<ServiceRequest> trace =
         buildSloTrace(seed, requests, quick, deadline_ms);
     // Deadline-free copy: warmup and the serial timing pass must
-    // never shed (a shed request would leave its engine cold). The
-    // hopeless requests warm their engine on a different tensor (trace
-    // seeds stay below 2^40): the engine's weight memo would serve the
-    // exact warmed tensor in about a millisecond, inside the deadline
-    // that is meant to be unmeetable.
+    // never shed (a shed request would leave its engine cold).
     std::vector<ServiceRequest> warm_trace = trace;
-    for (ServiceRequest &r : warm_trace) {
-        if (r.deadlineMs == kHopelessDeadlineMs)
-            r.seed ^= uint64_t{1} << 40;
+    for (ServiceRequest &r : warm_trace)
         r.deadlineMs = 0;
-    }
     uint64_t hopeless = 0;
     for (const ServiceRequest &r : trace)
         hopeless += r.deadlineMs == kHopelessDeadlineMs ? 1 : 0;
