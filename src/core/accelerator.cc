@@ -375,12 +375,15 @@ TransArrayAccelerator::rescaleToShape(LayerRun run,
 WeightMemo::Plane
 TransArrayAccelerator::reprPlane(const GemmShape &shape, int weight_bits,
                                  uint64_t seed, size_t repr_rows,
-                                 size_t repr_cols, bool *hit) const
+                                 size_t repr_cols, ParallelExecutor *pool,
+                                 bool *hit) const
 {
     const auto [nr, kr] = reprDims(shape, repr_rows, repr_cols);
     return weightMemo_->getOrBuild(
         {nr, kr, weight_bits, seed},
-        [&] { return synthesizePackedPlane(nr, kr, weight_bits, seed); },
+        [&] {
+            return synthesizePackedPlane(nr, kr, weight_bits, seed, pool);
+        },
         hit);
 }
 
@@ -390,8 +393,8 @@ TransArrayAccelerator::runShape(const GemmShape &shape, int weight_bits,
                                 size_t repr_cols) const
 {
     bool hit = false;
-    const WeightMemo::Plane plane =
-        reprPlane(shape, weight_bits, seed, repr_rows, repr_cols, &hit);
+    const WeightMemo::Plane plane = reprPlane(
+        shape, weight_bits, seed, repr_rows, repr_cols, &pool_, &hit);
     LayerRun run = runShapeView(shape, weight_bits, plane->view());
     setMemoOutcome(run, hit);
     return run;
@@ -489,8 +492,10 @@ TransArrayAccelerator::runLayersBatched(
                 weights[l] = WeightRef(*r.view);
             } else {
                 bool hit = false;
+                // Already inside pool_.run(): synthesize single-shard.
                 planes[l] = reprPlane(r.shape, r.weightBits, r.seed,
-                                      r.reprRows, r.reprCols, &hit);
+                                      r.reprRows, r.reprCols, nullptr,
+                                      &hit);
                 memo_hit[l] = hit;
                 weights[l] = WeightRef(planes[l]->view());
             }

@@ -298,11 +298,14 @@ class TransArrayAccelerator
 
     /**
      * The representative plane of a synthesized layer: a weight-memo
-     * lookup, else synthesize and pack. `*hit` reports which.
+     * lookup, else synthesize and pack, row-sharded on `pool` when
+     * given (null from inside pool_.run(), which must not re-enter).
+     * `*hit` reports which.
      */
     WeightMemo::Plane reprPlane(const GemmShape &shape, int weight_bits,
                                 uint64_t seed, size_t repr_rows,
-                                size_t repr_cols, bool *hit) const;
+                                size_t repr_cols, ParallelExecutor *pool,
+                                bool *hit) const;
 
     /** runShape's full-shape rescale of a representative-tensor run. */
     LayerRun rescaleToShape(LayerRun run, const GemmShape &shape,

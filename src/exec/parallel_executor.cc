@@ -17,6 +17,42 @@ nowNanos()
         .count();
 }
 
+/**
+ * The pools this thread is inside, innermost first: a pool's own
+ * worker threads for their lifetime, a caller for the length of its
+ * run(). A run() on any of them from this thread would wait for
+ * itself (on callMu_, or on a worker that is this thread).
+ */
+struct PoolScope
+{
+    const ParallelExecutor *pool;
+    const PoolScope *outer;
+};
+
+thread_local const PoolScope *tlsPools = nullptr;
+
+/** Enters `pool` on this thread until destroyed. */
+class EnterPool
+{
+  public:
+    explicit EnterPool(const ParallelExecutor *pool)
+        : scope_{pool, tlsPools}
+    {
+        for (const PoolScope *s = tlsPools; s != nullptr; s = s->outer)
+            TA_ASSERT(s->pool != pool,
+                      "re-entrant ParallelExecutor::run: this thread is "
+                      "already inside this pool and would wait on itself");
+        tlsPools = &scope_;
+    }
+    ~EnterPool() { tlsPools = scope_.outer; }
+
+    EnterPool(const EnterPool &) = delete;
+    EnterPool &operator=(const EnterPool &) = delete;
+
+  private:
+    const PoolScope scope_;
+};
+
 } // namespace
 
 int
@@ -73,6 +109,7 @@ void
 ParallelExecutor::workerLoop(int worker)
 {
     const int shard = worker + 1;
+    const EnterPool inside(this);
     uint64_t seen = 0;
     for (;;) {
         const ShardFn *job = nullptr;
@@ -105,6 +142,7 @@ ParallelExecutor::workerLoop(int worker)
 void
 ParallelExecutor::run(size_t n, const ShardFn &fn)
 {
+    const EnterPool inside(this);
     std::lock_guard<std::mutex> call(callMu_);
     if (threads_ == 1 || n == 0) {
         jobItems_ = n;

@@ -9,6 +9,9 @@
  *
  * Thread safety: run() may be called from any thread, including
  * concurrently — calls are serialized internally (one loop at a time).
+ * It must not be re-entered: a call from inside a shard callback (on
+ * the caller's thread or a pool worker) would wait on itself forever,
+ * so it panics instead.
  * The shard callback runs concurrently on pool workers and must only
  * write shard- or slot-local state; shardBusyNanos()/runsCompleted()
  * are maintenance counters to be read only between run() calls.
@@ -50,6 +53,7 @@ class ParallelExecutor
      * s always covers [shardBegin(n, s), shardBegin(n, s + 1)).
      * Blocks until every shard finished; rethrows the first worker
      * exception. Calls are serialized: the pool runs one loop at a time.
+     * A re-entrant call (from inside this pool's run()) panics.
      */
     void run(size_t n, const ShardFn &fn);
 

@@ -119,24 +119,27 @@ extractTransRows(const WeightView &v, int t_bits, size_t chunk,
     }
 }
 
+void
+packBitRow(const uint8_t *bits, size_t cols, uint8_t *dst)
+{
+    const KernelTable &kt = kernels();
+    // Bit j of a 32-column pack is column c + j, so its four bytes are
+    // bytes (c >> 3) .. (c >> 3) + 3 of the packed row.
+    for (size_t c = 0; c < cols; c += 32) {
+        const size_t n = std::min<size_t>(32, cols - c);
+        const uint32_t word = kt.packBits(bits + c, n);
+        for (size_t b = 0; b < ceilDiv(n, 8); ++b)
+            dst[(c >> 3) + b] = static_cast<uint8_t>(word >> (8 * b));
+    }
+}
+
 std::vector<uint8_t>
 packSlicedBits(const SlicedMatrix &s)
 {
     const size_t stride = ceilDiv(s.bits.cols(), 8);
     std::vector<uint8_t> out(s.bits.rows() * stride, 0);
-    const KernelTable &kt = kernels();
-    for (size_t r = 0; r < s.bits.rows(); ++r) {
-        const uint8_t *row = s.bits.rowPtr(r);
-        uint8_t *dst = out.data() + r * stride;
-        // Bit j of a 32-column pack is column c + j, so its four bytes
-        // are bytes (c >> 3) .. (c >> 3) + 3 of the packed row.
-        for (size_t c = 0; c < s.bits.cols(); c += 32) {
-            const size_t n = std::min<size_t>(32, s.bits.cols() - c);
-            const uint32_t word = kt.packBits(row + c, n);
-            for (size_t b = 0; b < ceilDiv(n, 8); ++b)
-                dst[(c >> 3) + b] = static_cast<uint8_t>(word >> (8 * b));
-        }
-    }
+    for (size_t r = 0; r < s.bits.rows(); ++r)
+        packBitRow(s.bits.rowPtr(r), s.bits.cols(), out.data() + r * stride);
     return out;
 }
 

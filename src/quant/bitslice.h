@@ -105,12 +105,22 @@ void extractTransRows(const WeightView &v, int t_bits, size_t chunk,
                       std::vector<TransRow> &out);
 
 /**
+ * Pack one byte-per-bit row of `cols` {0,1} bytes into the
+ * ceilDiv(cols, 8) bytes of its WeightView row: bit j of byte b is
+ * column 8b + j, and the pad bits of the last byte are zero. This
+ * is the one packing rule: packSlicedBits
+ * applies it to every row, and synthesizePackedPlane — which
+ * `ta_pack` and the weight memo both build planes with — applies it
+ * to each level row it slices. Packs 32 columns per kernel packBits
+ * call; the output is identical under every kernel table.
+ */
+void packBitRow(const uint8_t *bits, size_t cols, uint8_t *dst);
+
+/**
  * Pack a byte-per-bit SlicedMatrix into the WeightView bit layout
- * (LSB-first within each byte, rows padded to whole bytes with
- * zeros). This is the one packing rule: `ta_pack` and the weight
- * memo both pack with it (through synthesizePackedPlane), and the
- * round-trip tests verify against it. Packs 32 columns per kernel
- * packBits call; the output is identical under every kernel table.
+ * (packBitRow on every row, rows padded to whole bytes with zeros).
+ * The round-trip tests verify synthesized and stored planes against
+ * it.
  */
 std::vector<uint8_t> packSlicedBits(const SlicedMatrix &s);
 

@@ -46,8 +46,10 @@ class Matrix
         return data_[r * cols_ + c];
     }
 
-    T *rowPtr(size_t r) { return &data_[r * cols_]; }
-    const T *rowPtr(size_t r) const { return &data_[r * cols_]; }
+    // data() + offset, not &data_[...]: a matrix with no columns has
+    // no element to index, and its rows still have a (null) start.
+    T *rowPtr(size_t r) { return data_.data() + r * cols_; }
+    const T *rowPtr(size_t r) const { return data_.data() + r * cols_; }
 
     std::vector<T> &data() { return data_; }
     const std::vector<T> &data() const { return data_; }

@@ -95,18 +95,26 @@ GroupQuantizer::quantize(const MatF &m) const
     q.numGroups = ceilDiv(m.cols(), groupSize_);
     q.scales.assign(m.rows() * q.numGroups, 0.0f);
     q.values = MatI32(m.rows(), m.cols());
-    for (size_t r = 0; r < m.rows(); ++r) {
-        for (size_t g = 0; g < q.numGroups; ++g) {
-            const size_t c0 = g * groupSize_;
-            const size_t c1 = std::min(m.cols(), c0 + groupSize_);
-            const float amax = absMax(m.rowPtr(r) + c0, c1 - c0);
-            const float scale = amax / ((1 << (bits_ - 1)) - 1);
-            q.scales[r * q.numGroups + g] = scale;
-            for (size_t c = c0; c < c1; ++c)
-                q.values.at(r, c) = roundToCode(m.at(r, c), scale, bits_);
-        }
-    }
+    for (size_t r = 0; r < m.rows(); ++r)
+        quantizeRowGroups(m.rowPtr(r), m.cols(), bits_, groupSize_,
+                          q.values.rowPtr(r),
+                          q.scales.data() + r * q.numGroups);
     return q;
+}
+
+void
+quantizeRowGroups(const float *row, size_t cols, int bits, int group_size,
+                  int32_t *codes, float *scales)
+{
+    for (size_t c0 = 0, g = 0; c0 < cols; c0 += group_size, ++g) {
+        const size_t c1 = std::min(cols, c0 + group_size);
+        const float amax = absMax(row + c0, c1 - c0);
+        const float scale = amax / ((1 << (bits - 1)) - 1);
+        if (scales != nullptr)
+            scales[g] = scale;
+        for (size_t c = c0; c < c1; ++c)
+            codes[c] = roundToCode(row[c], scale, bits);
+    }
 }
 
 std::string

@@ -123,6 +123,17 @@ class AdaptiveTypeQuantizer : public Quantizer
     int groupSize_;
 };
 
+/**
+ * Group-wise symmetric quantization of one row of `cols` values: per
+ * run of `group_size` columns, scale = absmax / (2^(bits-1) - 1) and
+ * codes[c] = the rounded, clamped code of row[c] / scale. The one
+ * absmax and rounding rule GroupQuantizer::quantize and the fused
+ * weight synthesis (synthesizePackedPlane) share. `scales`, when not
+ * null, receives the ceilDiv(cols, group_size) group scales.
+ */
+void quantizeRowGroups(const float *row, size_t cols, int bits,
+                       int group_size, int32_t *codes, float *scales);
+
 /** Mean squared error between a float matrix and a quantized version. */
 double quantMse(const MatF &ref, const QuantResult &q);
 

@@ -21,6 +21,8 @@
 
 namespace ta {
 
+class ParallelExecutor;
+
 /** Uniform random binary matrix with one-probability p. */
 MatBit randomBinaryMatrix(size_t rows, size_t cols, double p,
                           uint64_t seed);
@@ -28,13 +30,19 @@ MatBit randomBinaryMatrix(size_t rows, size_t cols, double p,
 /** Uniform random integers covering the full `bits` signed range. */
 MatI32 randomIntMatrix(size_t rows, size_t cols, int bits, uint64_t seed);
 
+/** Default outlier mixture of gaussianWeights (and so of the
+ *  real-like weights): fraction and sigma multiplier. */
+constexpr double kOutlierFrac = 1e-3;
+constexpr double kOutlierScale = 8.0;
+
 /**
  * Gaussian weights with an outlier mixture: fraction `outlier_frac` of
  * entries drawn at `outlier_scale` times the base sigma.
  */
 MatF gaussianWeights(size_t rows, size_t cols, uint64_t seed,
-                     double sigma = 1.0, double outlier_frac = 1e-3,
-                     double outlier_scale = 8.0);
+                     double sigma = 1.0,
+                     double outlier_frac = kOutlierFrac,
+                     double outlier_scale = kOutlierScale);
 
 /**
  * "Real-like" quantized weights: Gaussian source, group-wise symmetric
@@ -50,10 +58,20 @@ SlicedMatrix realLikeSlicedWeights(size_t rows, size_t cols, int bits,
  * Real-like weights bit-sliced and packed: the plane `ta_pack` writes
  * into a catalog and the engine's weight memo holds — one packing rule
  * for both, so a catalog entry and an in-memory plane of the same
- * (rows, cols, bits, seed) hold identical bytes.
+ * (rows, cols, bits, seed) hold identical bytes, equal to
+ * packSlicedBits(realLikeSlicedWeights(rows, cols, bits, seed)).
+ *
+ * Built in one fused pass per row (generate, group-quantize, slice,
+ * pack) with no full-size intermediate matrix. With a `pool`, the
+ * rows are sharded over its threads: a serial walk first advances
+ * the Gaussian stream to each shard's first row without the
+ * transcendental math, so every shard resumes the exact stream and
+ * the bytes are the same for every thread count. Must not be given
+ * a pool whose run() the caller is already inside.
  */
 PackedPlane synthesizePackedPlane(size_t rows, size_t cols, int bits,
-                                  uint64_t seed);
+                                  uint64_t seed,
+                                  ParallelExecutor *pool = nullptr);
 
 /** Gaussian int8 activations (for functional attention runs). */
 MatI32 randomActivations(size_t rows, size_t cols, int bits,

@@ -179,6 +179,37 @@ TEST(PackSlicedBits, ViewExtractionMatchesSlicedMatrix)
     }
 }
 
+TEST(PackSlicedBits, PackedBitIsTheViewsColumn)
+{
+    // The one layout: bit j of byte b is column 8b + j, for packBitRow
+    // (which packSlicedBits and the fused synthesis write with) and
+    // for WeightView extraction alike. One set column per row.
+    const size_t cols = 45;
+    MatBit bits(cols, cols, 0);
+    for (size_t c = 0; c < cols; ++c)
+        bits.at(c, c) = 1;
+    const size_t stride = ceilDiv(cols, 8);
+    std::vector<uint8_t> packed(cols * stride, 0xff);
+    for (size_t r = 0; r < cols; ++r)
+        packBitRow(bits.rowPtr(r), cols, packed.data() + r * stride);
+    SlicedMatrix s;
+    s.bits = bits;
+    s.wordBits = 1;
+    s.origRows = cols;
+    EXPECT_EQ(packed, packSlicedBits(s));
+    const WeightView v{packed.data(), stride, cols, cols, 1, cols};
+    std::vector<TransRow> got;
+    for (size_t c = 0; c < cols; ++c) {
+        for (size_t b = 0; b < stride; ++b)
+            EXPECT_EQ(packed[c * stride + b],
+                      b == c / 8 ? 1u << (c % 8) : 0u)
+                << "column " << c << " byte " << b;
+        extractTransRows(v, 1, c, 0, cols, got);
+        for (size_t r = 0; r < cols; ++r)
+            EXPECT_EQ(got[r].value, r == c ? 1u : 0u);
+    }
+}
+
 TEST(PackSlicedBits, SynthesizedPlaneIsPackedSlicedWeights)
 {
     const PackedPlane p = synthesizePackedPlane(9, 45, 8, 71);

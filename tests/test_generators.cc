@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
+#include "exec/parallel_executor.h"
 #include "scoreboard/analyzer.h"
 #include "workloads/generators.h"
 
@@ -111,6 +113,78 @@ TEST(Generators, SlicedBitDensityNearHalf)
 {
     const SlicedMatrix s = realLikeSlicedWeights(128, 128, 8, 19);
     EXPECT_NEAR(slicedBitDensity(s), 0.5, 0.08);
+}
+
+/** FNV-1a over raw bytes: pins exact output bits. */
+uint64_t
+fnvBytes(const void *p, size_t n)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto *b = static_cast<const unsigned char *>(p);
+    for (size_t i = 0; i < n; ++i) {
+        h ^= b[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Generators, SynthesisBitsArePinned)
+{
+    // The Gaussian stream and the packed real-like plane, pinned to
+    // the bytes of the unfused, out-of-line-Rng synthesis: a plane
+    // must never change under a refactor of the generator.
+    const MatF w = gaussianWeights(17, 333, 7);
+    EXPECT_EQ(fnvBytes(w.data().data(), w.size() * sizeof(float)),
+              0x4882cba09a0eac69ull);
+    const PackedPlane p = synthesizePackedPlane(33, 300, 6, 5);
+    ASSERT_EQ(p.bytes.size(), 7524u);
+    EXPECT_EQ(fnvBytes(p.bytes.data(), p.bytes.size()),
+              0x65ce3f2004e249d6ull);
+}
+
+TEST(Generators, SynthesizedPlaneIsUnfusedPlaneForEveryPool)
+{
+    // The fused, row-sharded synthesis against the unfused oracle
+    // (generate, group-quantize, bit-slice, then pack). Shapes: odd
+    // cols, so polar spares straddle row boundaries — and shard
+    // boundaries, e.g. 5 rows over 3 threads start shard 1 after 333
+    // draws; cols % 8 != 0 and cols % 128 != 0; fewer rows than
+    // threads; empty planes.
+    struct Shape
+    {
+        size_t rows, cols;
+    };
+    const Shape shapes[] = {{5, 333}, {7, 129}, {3, 45}, {9, 256},
+                            {1, 7},   {0, 64},  {6, 0},  {0, 0}};
+    std::vector<std::unique_ptr<ParallelExecutor>> pools;
+    for (int threads : {1, 2, 3, 4, 8})
+        pools.push_back(std::make_unique<ParallelExecutor>(threads));
+    for (const Shape &sh : shapes) {
+        for (int bits : {2, 4, 6, 8}) {
+            for (uint64_t seed : {1u, 2u, 3u}) {
+                const std::vector<uint8_t> want = packSlicedBits(
+                    realLikeSlicedWeights(sh.rows, sh.cols, bits, seed));
+                const PackedPlane serial =
+                    synthesizePackedPlane(sh.rows, sh.cols, bits, seed);
+                EXPECT_EQ(serial.bytes, want)
+                    << sh.rows << "x" << sh.cols << " bits " << bits
+                    << " seed " << seed << " no pool";
+                EXPECT_EQ(serial.rows, sh.rows * bits);
+                EXPECT_EQ(serial.cols, sh.cols);
+                EXPECT_EQ(serial.wordBits, bits);
+                EXPECT_EQ(serial.origRows, sh.rows);
+                for (const auto &pool : pools) {
+                    EXPECT_EQ(synthesizePackedPlane(sh.rows, sh.cols, bits,
+                                                    seed, pool.get())
+                                  .bytes,
+                              want)
+                        << sh.rows << "x" << sh.cols << " bits " << bits
+                        << " seed " << seed << " threads "
+                        << pool->threads();
+                }
+            }
+        }
+    }
 }
 
 } // namespace

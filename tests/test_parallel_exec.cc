@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include "core/accelerator.h"
@@ -72,6 +73,60 @@ TEST(ParallelExecutor, PropagatesWorkerExceptions)
         ok += static_cast<int>(e - b);
     });
     EXPECT_EQ(ok.load(), 4);
+}
+
+TEST(ParallelExecutor, ReentrantRunFailsInsteadOfHanging)
+{
+    // A run() from inside a run() of the same pool used to block on
+    // its own call lock forever; it now panics, from the caller's
+    // shard and from a worker's, and the pool stays usable.
+    for (int threads : {1, 4}) {
+        ParallelExecutor pool(threads);
+        for (int from = 0; from < threads; from += 3) {
+            EXPECT_THROW(pool.run(threads,
+                                  [&](int shard, size_t, size_t) {
+                                      if (shard == from)
+                                          pool.run(1, [](int, size_t,
+                                                         size_t) {});
+                                  }),
+                         std::logic_error)
+                << threads << " threads, from shard " << from;
+        }
+        std::atomic<int> ok{0};
+        pool.run(8, [&](int, size_t b, size_t e) {
+            ok += static_cast<int>(e - b);
+        });
+        EXPECT_EQ(ok.load(), 8);
+    }
+    // Nesting a different pool inside a shard is fine.
+    ParallelExecutor outer(2), inner(2);
+    std::atomic<int> items{0};
+    outer.run(2, [&](int shard, size_t, size_t) {
+        if (shard == 0)
+            inner.run(6, [&](int, size_t b, size_t e) {
+                items += static_cast<int>(e - b);
+            });
+    });
+    EXPECT_EQ(items.load(), 6);
+}
+
+TEST(ParallelExecutorDeathTest, UncaughtReentrantRunEndsTheProcess)
+{
+    // Where nothing catches the panic (a thread's entry function, a
+    // tool's main), a re-entrant run ends the process with a named
+    // message rather than hanging it.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            ParallelExecutor pool(2);
+            std::thread caller([&] {
+                pool.run(2, [&](int, size_t, size_t) {
+                    pool.run(1, [](int, size_t, size_t) {});
+                });
+            });
+            caller.join();
+        },
+        "re-entrant ParallelExecutor::run");
 }
 
 // ---- PlanCache ----------------------------------------------------------
